@@ -65,6 +65,7 @@ orgFromIndex(std::size_t idx)
 
 std::atomic<std::uint64_t> g_evaluated{0};
 std::atomic<std::uint64_t> g_pruned{0};
+std::atomic<std::uint64_t> g_subarrays{0};
 std::atomic<int> g_pruneOverride{-1};  ///< -1: follow MCPAT_PRUNE
 
 bool
@@ -87,6 +88,9 @@ pruneDefaultFromEnv()
         reg.gauge("prune.evaluated")
             .set(static_cast<double>(evaluated));
         reg.gauge("prune.pruned").set(static_cast<double>(pruned));
+        reg.gauge("prune.subarrays")
+            .set(static_cast<double>(
+                g_subarrays.load(std::memory_order_relaxed)));
         reg.gauge("prune.prune_fraction")
             .set(evaluated + pruned
                      ? static_cast<double>(pruned) / (evaluated + pruned)
@@ -112,7 +116,8 @@ OptimizerSearchStats
 optimizerSearchStats()
 {
     return {g_evaluated.load(std::memory_order_relaxed),
-            g_pruned.load(std::memory_order_relaxed)};
+            g_pruned.load(std::memory_order_relaxed),
+            g_subarrays.load(std::memory_order_relaxed)};
 }
 
 void
@@ -120,6 +125,7 @@ resetOptimizerSearchStats()
 {
     g_evaluated.store(0, std::memory_order_relaxed);
     g_pruned.store(0, std::memory_order_relaxed);
+    g_subarrays.store(0, std::memory_order_relaxed);
 }
 
 /** One evaluated organization. */
@@ -212,18 +218,24 @@ ArrayModel::orgGeometry(const ArrayOrg &org) const
 std::optional<ArrayModel::Candidate>
 ArrayModel::evaluate(const ArrayOrg &org) const
 {
+    const OrgGeometry geom = orgGeometry(org);
+    if (!geom.feasible)
+        return std::nullopt;
+    const Subarray sub(geom.subRows, geom.subCols, _params.totalPorts(),
+                       _params.cellType, _tech);
+    return evaluateWith(org, geom, sub);
+}
+
+ArrayModel::Candidate
+ArrayModel::evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,
+                         const Subarray &sub) const
+{
     const int total_rows = _params.totalRows();
     const int row_bits = _params.rowBits();
     const int banks = _params.banks;
     const int ports = _params.totalPorts();
-
-    const OrgGeometry geom = orgGeometry(org);
-    if (!geom.feasible)
-        return std::nullopt;
     const int sub_rows = geom.subRows;
     const int sub_cols = geom.subCols;
-
-    const Subarray sub(sub_rows, sub_cols, ports, _params.cellType, _tech);
 
     const int subarrays = org.subarrays();
     const double bank_w = org.ndwl * sub.width();
@@ -352,15 +364,13 @@ ArrayModel::evaluate(const ArrayOrg &org) const
 }
 
 ArrayModel::CandidateFloor
-ArrayModel::candidateFloor(const ArrayOrg &org, const OrgGeometry &geom) const
+ArrayModel::candidateFloor(const ArrayOrg &org, const OrgGeometry &geom,
+                           const SubarrayFloor &f) const
 {
     const int total_rows = _params.totalRows();
     const int row_bits = _params.rowBits();
     const int banks = _params.banks;
     const int ports = _params.totalPorts();
-
-    const SubarrayFloor f = Subarray::floorBounds(
-        geom.subRows, geom.subCols, ports, _params.cellType, _tech);
 
     // Bank footprint floor: the subarray floor dims (exact sense stack,
     // floored decoder width), so every wire length below floors the
@@ -478,26 +488,52 @@ ArrayModel::searchPruned(const OptimizationWeights &weights,
     //      (b) outscored: sum_m w[m] * lb[m] / runMin[m] > safeScore.
     //    Both rules stay valid as runMin / safeScore shrink, so
     //    evaluation order and batch size cannot change the outcome.
+    //
+    // Many organizations share one subarray shape (subRows, subCols),
+    // and a shape's floor and Subarray depend on nothing else in the
+    // solve: each distinct shape is floored once here and built at most
+    // once, by the first batch that evaluates it.
     const std::size_t n_orgs = std::size(kPartitions) *
                                std::size(kPartitions) *
                                std::size(kFoldings);
+    const int ports = _params.totalPorts();
+    struct Shape
+    {
+        int rows;
+        int cols;
+        SubarrayFloor floor;
+    };
     struct Entry
     {
         std::size_t idx;       ///< canonical grid index (tie-break order)
         ArrayOrg org;
+        OrgGeometry geom;
+        std::size_t shape;     ///< index into shapes
         CandidateFloor floor;
         double key;            ///< bound-based visit priority
     };
+    std::vector<Shape> shapes;
     std::vector<Entry> entries;
     entries.reserve(n_orgs);
     for (std::size_t idx = 0; idx < n_orgs; ++idx) {
         Entry e;
         e.idx = idx;
         e.org = orgFromIndex(idx);
-        const OrgGeometry geom = orgGeometry(e.org);
-        if (!geom.feasible)
+        e.geom = orgGeometry(e.org);
+        if (!e.geom.feasible)
             continue;
-        e.floor = candidateFloor(e.org, geom);
+        const auto same = [&](const Shape &sh) {
+            return sh.rows == e.geom.subRows && sh.cols == e.geom.subCols;
+        };
+        e.shape = static_cast<std::size_t>(
+            std::find_if(shapes.begin(), shapes.end(), same) -
+            shapes.begin());
+        if (e.shape == shapes.size())
+            shapes.push_back({e.geom.subRows, e.geom.subCols,
+                              Subarray::floorBounds(
+                                  e.geom.subRows, e.geom.subCols, ports,
+                                  _params.cellType, _tech)});
+        e.floor = candidateFloor(e.org, e.geom, shapes[e.shape].floor);
         entries.push_back(e);
     }
     if (entries.empty())
@@ -536,8 +572,11 @@ ArrayModel::searchPruned(const OptimizationWeights &weights,
     const std::size_t block = static_cast<std::size_t>(
         std::max(1, parallel::threadCount()));
     std::vector<const Entry *> batch;
-    std::vector<std::optional<Candidate>> slots;
+    std::vector<std::size_t> unbuilt;
+    std::vector<std::optional<Subarray>> subs(shapes.size());
+    std::vector<Candidate> slots;
     std::uint64_t pruned = 0;
+    std::uint64_t built = 0;
     std::size_t cursor = 0;
     while (cursor < entries.size()) {
         // One poll per batch bounds cancellation latency to a handful
@@ -573,16 +612,29 @@ ArrayModel::searchPruned(const OptimizationWeights &weights,
         }
         if (batch.empty())
             continue;
-        slots.assign(batch.size(), std::nullopt);
+        // Build the batch's unseen shapes first, each by one task into
+        // its own slot, so evaluation below only reads the table.
+        unbuilt.clear();
+        for (const Entry *e : batch)
+            if (!subs[e->shape] &&
+                std::find(unbuilt.begin(), unbuilt.end(), e->shape) ==
+                    unbuilt.end())
+                unbuilt.push_back(e->shape);
+        if (!unbuilt.empty()) {
+            parallel::parallelFor(unbuilt.size(), [&](std::size_t i) {
+                const Shape &sh = shapes[unbuilt[i]];
+                subs[unbuilt[i]].emplace(sh.rows, sh.cols, ports,
+                                         _params.cellType, _tech);
+            });
+            built += unbuilt.size();
+        }
+        slots.resize(batch.size());
         parallel::parallelFor(batch.size(), [&](std::size_t i) {
-            slots[i] = evaluate(batch[i]->org);
+            const Entry &e = *batch[i];
+            slots[i] = evaluateWith(e.org, e.geom, *subs[e.shape]);
         });
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            // Geometry feasibility was pre-checked, so evaluation
-            // cannot reject.
-            panicIf(!slots[i], "array '" + _params.name +
-                                   "': candidate evaluation diverged");
-            Candidate c = std::move(*slots[i]);
+            Candidate c = std::move(slots[i]);
             const double actual[kMetrics] = {
                 c.res.accessDelay,
                 c.res.readEnergy + c.res.searchEnergy,
@@ -603,6 +655,7 @@ ArrayModel::searchPruned(const OptimizationWeights &weights,
     }
     g_pruned.fetch_add(pruned, std::memory_order_relaxed);
     g_evaluated.fetch_add(out.size(), std::memory_order_relaxed);
+    g_subarrays.fetch_add(built, std::memory_order_relaxed);
 
     // Restore canonical order so selection tie-breaks are unchanged.
     std::sort(out.begin(), out.end(),
@@ -676,10 +729,12 @@ ArrayModel::optimize(const OptimizationWeights &weights)
         searchExhaustive(cands);
     panicIf(cands.empty(),
             "array '" + _params.name + "': no feasible organization");
-    if (instr::enabled())
-        instr::Registry::instance()
-            .histogram("array.optimize.candidates")
-            .record(static_cast<double>(cands.size()));
+    if (instr::enabled()) {
+        static instr::Histogram &candidates =
+            instr::Registry::instance().histogram(
+                "array.optimize.candidates");
+        candidates.record(static_cast<double>(cands.size()));
+    }
     selectBest(cands, weights);
 }
 

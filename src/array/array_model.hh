@@ -25,6 +25,9 @@ namespace array {
 
 using tech::Technology;
 
+class Subarray;
+struct SubarrayFloor;
+
 /**
  * Organization-search observability: full candidate evaluations
  * performed vs candidates skipped by the branch-and-bound pruner.
@@ -34,6 +37,7 @@ struct OptimizerSearchStats
 {
     std::uint64_t evaluated = 0;  ///< candidates fully evaluated
     std::uint64_t pruned = 0;     ///< candidates skipped by the bound
+    std::uint64_t subarrays = 0;  ///< Subarrays constructed by searchPruned
 };
 
 /**
@@ -141,8 +145,11 @@ class ArrayModel
 
     OrgGeometry orgGeometry(const ArrayOrg &org) const;
     CandidateFloor candidateFloor(const ArrayOrg &org,
-                                  const OrgGeometry &geom) const;
+                                  const OrgGeometry &geom,
+                                  const SubarrayFloor &f) const;
     std::optional<Candidate> evaluate(const ArrayOrg &org) const;
+    Candidate evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,
+                           const Subarray &sub) const;
     void searchExhaustive(std::vector<Candidate> &cands) const;
     void searchPruned(const OptimizationWeights &weights,
                       std::vector<Candidate> &cands) const;

@@ -45,21 +45,24 @@ BufferChain::BufferChain(double c_load, const Technology &t,
     // First-stage NMOS width realizing the input-capacitance budget.
     const double w0 = wmin * (c_in_budget / c_unit);
 
-    _sizes.resize(n);
-    for (int i = 0; i < n; ++i)
-        _sizes[i] = w0 * std::pow(stage_effort, i);
-
+    _numStages = n;
+    // Stage i has NMOS width w0 * stage_effort^i; each width is computed
+    // once and carried to the next stage as its input load.
+    double width = w0;
     for (int i = 0; i < n; ++i) {
-        const Inverter inv(_sizes[i], t);
-        const double next_c = (i + 1 < n)
-            ? Inverter(_sizes[i + 1], t).inputC(t)
-            : c_load;
+        const Inverter inv(width, t);
+        const bool last = i + 1 == n;
+        const double next_width =
+            last ? 0.0 : w0 * std::pow(stage_effort, i + 1);
+        const double next_c =
+            last ? c_load : Inverter(next_width, t).inputC(t);
         _delay += stageDelay(inv.outputRes(t), inv.selfC(t), next_c);
         // Energy: every stage charges its own junctions plus its load.
         _energy += (inv.selfC(t) + next_c) * t.vdd() * t.vdd();
         _subLeak += inv.subthresholdLeakage(t);
         _gateLeak += inv.gateLeakage(t);
-        _area += inverterArea(_sizes[i], t);
+        _area += inverterArea(width, t);
+        width = next_width;
     }
 }
 

@@ -12,8 +12,6 @@
 #ifndef MCPAT_CIRCUIT_LOGICAL_EFFORT_HH
 #define MCPAT_CIRCUIT_LOGICAL_EFFORT_HH
 
-#include <vector>
-
 #include "circuit/transistor.hh"
 
 namespace mcpat {
@@ -42,7 +40,7 @@ class BufferChain
     BufferChain(double c_load, const Technology &t,
                 double c_in_budget = 0.0, int min_stages = 1);
 
-    int numStages() const { return static_cast<int>(_sizes.size()); }
+    int numStages() const { return _numStages; }
 
     /** Propagation delay through the chain, s. */
     double delay() const { return _delay; }
@@ -62,11 +60,8 @@ class BufferChain
     /** Input capacitance of the first stage, F. */
     double inputC() const { return _inputC; }
 
-    /** NMOS width of each stage, m (exposed for tests). */
-    const std::vector<double> &stageWidths() const { return _sizes; }
-
   private:
-    std::vector<double> _sizes;
+    int _numStages = 0;
     double _delay = 0.0;
     double _energy = 0.0;
     double _subLeak = 0.0;

@@ -1,92 +1,13 @@
 /**
  * @file
- * Transistor R/C helper implementations.
+ * Transistor-level net helpers (the per-device helpers are inline in
+ * the header).
  */
 
 #include "circuit/transistor.hh"
 
 namespace mcpat {
 namespace circuit {
-
-namespace {
-
-/**
- * Effective-resistance factor: converts Vdd/Ion into an average switching
- * resistance, absorbing saturation-region averaging and input slope.
- * Calibrated against the per-node FO4 table entries.
- */
-constexpr double resEffFactor = 2.5;
-
-} // namespace
-
-double
-minWidth(const Technology &t)
-{
-    return 3.0 * t.feature();
-}
-
-double
-gateC(double w, const Technology &t)
-{
-    return t.device().cGate * w;
-}
-
-double
-drainC(double w, const Technology &t)
-{
-    return t.device().cJunction * w;
-}
-
-double
-onResistanceN(double w, const Technology &t)
-{
-    return resEffFactor * t.vdd() / (t.device().ionN * w);
-}
-
-double
-onResistanceP(double w, const Technology &t)
-{
-    return resEffFactor * t.vdd() / (t.device().ionP * w);
-}
-
-Inverter::Inverter(double nmos_width, const Technology &t)
-    : wn(nmos_width), wp(2.0 * nmos_width)
-{
-    panicIf(nmos_width <= 0.0, "inverter with non-positive width");
-    (void)t;
-}
-
-double
-Inverter::inputC(const Technology &t) const
-{
-    return gateC(wn + wp, t);
-}
-
-double
-Inverter::selfC(const Technology &t) const
-{
-    return drainC(wn + wp, t);
-}
-
-double
-Inverter::outputRes(const Technology &t) const
-{
-    // With wp = 2 wn and IonP = 0.5 IonN the pull-up and pull-down
-    // resistances match; report the common value.
-    return onResistanceN(wn, t);
-}
-
-double
-Inverter::subthresholdLeakage(const Technology &t) const
-{
-    return circuit::subthresholdLeakage(wn, wp, t);
-}
-
-double
-Inverter::gateLeakage(const Technology &t) const
-{
-    return circuit::gateLeakage(wn + wp, t);
-}
 
 double
 averageNetCap(const Technology &t)
@@ -102,23 +23,6 @@ double
 logicGateEnergy(const Technology &t)
 {
     return averageNetCap(t) * t.vdd() * t.vdd();
-}
-
-double
-subthresholdLeakage(double total_wn, double total_wp, const Technology &t,
-                    double stack_factor)
-{
-    const auto &d = t.device();
-    // Half the time the NMOS network leaks, half the time the PMOS one.
-    const double i_avg =
-        0.5 * (d.ioffN * total_wn + d.ioffP * total_wp) * stack_factor;
-    return i_avg * t.leakageScale() * t.vdd();
-}
-
-double
-gateLeakage(double total_w, const Technology &t)
-{
-    return t.device().igate * total_w * t.gateLeakageScale() * t.vdd();
 }
 
 } // namespace circuit

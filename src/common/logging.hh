@@ -36,7 +36,18 @@ class ModelError : public std::logic_error
  *
  * @param cond condition that must hold
  * @param what human-readable description of what the user got wrong
+ *
+ * The const char * overloads let a literal message reach the check
+ * without materializing a std::string, so a passing check in a hot
+ * loop allocates nothing.
  */
+inline void
+fatalIf(bool cond, const char *what)
+{
+    if (cond)
+        throw ConfigError(what);
+}
+
 inline void
 fatalIf(bool cond, const std::string &what)
 {
@@ -47,6 +58,13 @@ fatalIf(bool cond, const std::string &what)
 /**
  * Raise a ModelError when an internal invariant fails.
  */
+inline void
+panicIf(bool cond, const char *what)
+{
+    if (cond)
+        throw ModelError(what);
+}
+
 inline void
 panicIf(bool cond, const std::string &what)
 {

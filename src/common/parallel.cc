@@ -107,12 +107,18 @@ class Pool
         // concurrent outer callers just serialize here.
         std::lock_guard<std::mutex> submit(_submitMutex);
 
+        // Metrics are looked up by name once, on first instrumented
+        // use: an array organization search submits tens of jobs, too
+        // many for a registry lookup (string, mutex, map) on each.
         const bool instrumented = instr::enabled();
         if (instrumented) {
-            auto &reg = instr::Registry::instance();
-            reg.counter("parallel.jobs").add();
-            reg.gauge("parallel.queue_depth_max")
-                .setMax(static_cast<double>(n));
+            static instr::Counter &jobs =
+                instr::Registry::instance().counter("parallel.jobs");
+            static instr::Gauge &depth =
+                instr::Registry::instance().gauge(
+                    "parallel.queue_depth_max");
+            jobs.add();
+            depth.setMax(static_cast<double>(n));
         }
 
         auto job = std::make_shared<Job>();
@@ -140,9 +146,9 @@ class Pool
             _done.wait(lock, [&] { return job->done.load() == job->n; });
             _job.reset();
             if (instrumented) {
-                instr::Registry::instance()
-                    .timer("parallel.wait")
-                    .addNanos(instr::nowNanos() - t0);
+                static instr::Timer &wait =
+                    instr::Registry::instance().timer("parallel.wait");
+                wait.addNanos(instr::nowNanos() - t0);
             }
         }
         if (job->error)
@@ -234,10 +240,12 @@ class Pool
         }
         t_inParallelRegion = false;
         if (instrumented) {
-            auto &reg = instr::Registry::instance();
-            reg.counter("parallel.tasks").add(finished);
-            reg.timer("parallel.busy").addNanos(instr::nowNanos() - t0,
-                                                finished);
+            static instr::Counter &tasks =
+                instr::Registry::instance().counter("parallel.tasks");
+            static instr::Timer &busy =
+                instr::Registry::instance().timer("parallel.busy");
+            tasks.add(finished);
+            busy.addNanos(instr::nowNanos() - t0, finished);
         }
         if (finished &&
             job.done.fetch_add(finished) + finished == job.n) {
@@ -311,10 +319,12 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
     if (n == 1 || threads <= 1 || t_inParallelRegion) {
         // Serial fallback: also taken for nested calls so inner
         // parallelism cannot deadlock on or oversubscribe the pool.
-        if (instr::enabled())
-            instr::Registry::instance()
-                .counter("parallel.serial_tasks")
-                .add(n);
+        if (instr::enabled()) {
+            static instr::Counter &serial_tasks =
+                instr::Registry::instance().counter(
+                    "parallel.serial_tasks");
+            serial_tasks.add(n);
+        }
         const bool outer = t_inParallelRegion;
         t_inParallelRegion = true;
         try {

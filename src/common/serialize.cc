@@ -126,10 +126,12 @@ writeFileAtomic(const std::string &path,
                      reinterpret_cast<std::uintptr_t>(&bytes))));
 
     // POSIX I/O instead of ofstream: the write, the short-write check,
-    // and the fsync must all be verified *before* the rename publishes
-    // the record — an ENOSPC surfacing at close(), or data still
-    // sitting in the page cache at crash time, must never let a
-    // truncated record become visible under the final name.
+    // and close() must all be verified *before* the rename publishes
+    // the record, so an ENOSPC surfacing at close() never lets a
+    // truncated record become visible under the final name.  There is
+    // no fsync: records are a cache, and a record torn by a crash
+    // (a rename that reached the disk before the data) fails its
+    // checksum on load and is re-solved as a corrupt miss.
     const int fd = ::open(tmp.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                           0644);
@@ -148,7 +150,6 @@ writeFileAtomic(const std::string &path,
             off += static_cast<std::size_t>(n);
         }
     }
-    ok = ok && ::fsync(fd) == 0;
     ok = ::close(fd) == 0 && ok;
     if (!ok) {
         fs::remove(tmp, ec);
@@ -159,20 +160,6 @@ writeFileAtomic(const std::string &path,
     if (ec) {
         fs::remove(tmp, ec);
         return false;
-    }
-
-    // Durably record the rename itself: fsync the containing directory
-    // so a crash right after publish cannot resurrect the old name (or
-    // drop the new one).  Failure here is not fatal — the record is
-    // already complete and visible; the directory entry merely isn't
-    // guaranteed durable yet.
-    const std::string dir = target.parent_path().empty()
-        ? std::string(".")
-        : target.parent_path().string();
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        ::fsync(dfd);
-        ::close(dfd);
     }
     return true;
 }

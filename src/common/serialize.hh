@@ -14,7 +14,9 @@
  *    same bytes hash to the same value in every process and build;
  *  - writeFileAtomic publishes a record with the classic temp-file +
  *    rename dance, so concurrent writers race benignly (last complete
- *    record wins) and readers never observe a half-written file.
+ *    record wins) and readers never observe a half-written file.  It
+ *    does not fsync: the records are a cache, and one torn by a crash
+ *    fails its checksum and reads as a corrupt miss.
  */
 
 #ifndef MCPAT_COMMON_SERIALIZE_HH
@@ -95,8 +97,11 @@ std::string toHex64(std::uint64_t v);
 /**
  * Atomically create/replace @p path with @p bytes: write a uniquely
  * named temp file in the same directory, then rename() it into place.
- * Returns false (without throwing) on any I/O failure — callers treat
- * an unwritable cache as a slow day, not an error.
+ * Atomic against concurrent readers and writers, not durable across a
+ * crash (no fsync of the file or its directory); callers must detect a
+ * torn file themselves, as checksummed cache records do.  Returns false
+ * (without throwing) on any I/O failure — callers treat an unwritable
+ * cache as a slow day, not an error.
  */
 bool writeFileAtomic(const std::string &path,
                      const std::vector<std::uint8_t> &bytes);

@@ -128,9 +128,13 @@ class Technology
     DeviceFlavor flavor() const { return _flavor; }
 
     /** Device parameters of the selected flavor. */
-    const DeviceParams &device() const;
+    const DeviceParams &device() const { return device(_flavor); }
     /** Device parameters of an explicit flavor. */
-    const DeviceParams &device(DeviceFlavor f) const;
+    const DeviceParams &
+    device(DeviceFlavor f) const
+    {
+        return _node->device[static_cast<int>(f)];
+    }
 
     /** Operating supply voltage (nominal unless overridden by DVFS). */
     double vdd() const { return _vdd; }
@@ -142,7 +146,7 @@ class Technology
     void setVdd(double vdd);
 
     double temperature() const { return _temperature; }
-    void setTemperature(double t) { _temperature = t; }
+    void setTemperature(double t);
 
     /**
      * Subthreshold-leakage multiplier at the current temperature and Vdd
@@ -151,16 +155,16 @@ class Technology
      * Temperature: leakage doubles roughly every 20 K.  Voltage: DIBL makes
      * Ioff approximately linear in Vdd near nominal.
      */
-    double leakageScale() const;
+    double leakageScale() const { return _leakageScale; }
 
     /** Gate-leakage multiplier: ~quadratic in Vdd, temperature-flat. */
-    double gateLeakageScale() const;
+    double gateLeakageScale() const { return _gateLeakageScale; }
 
     /**
      * Gate-delay multiplier at the current Vdd relative to nominal, from
      * the alpha-power law: delay ~ Vdd / (Vdd - Vth)^alpha with alpha 1.3.
      */
-    double delayScale() const;
+    double delayScale() const { return _delayScale; }
 
     /** FO4 delay at the current operating point, s. */
     double fo4() const { return device().fo4 * delayScale(); }
@@ -172,24 +176,47 @@ class Technology
     void setProjection(WireProjection p) { _projection = p; }
 
     /** Wire parameters for a layer under the active projection. */
-    const WireParams &wire(WireLayer layer) const;
-    const WireParams &wire(WireLayer layer, WireProjection p) const;
+    const WireParams &
+    wire(WireLayer layer) const
+    {
+        return wire(layer, _projection);
+    }
+    const WireParams &
+    wire(WireLayer layer, WireProjection p) const
+    {
+        return _node->wire[static_cast<int>(layer)][static_cast<int>(p)];
+    }
 
     // Layout-density helpers (areas in m^2).
-    double sramCellArea() const;
-    double camCellArea() const;
-    double dffArea() const;
-    double logicGateArea() const;
+    double sramCellArea() const { return f2Area(_node->sramCellAreaF2); }
+    double camCellArea() const { return f2Area(_node->camCellAreaF2); }
+    double dffArea() const { return f2Area(_node->dffAreaF2); }
+    double logicGateArea() const { return f2Area(_node->logicGateAreaF2); }
 
     /** The technology nodes available in the table. */
     static const std::vector<int> &availableNodes();
 
   private:
+    /** An area of @p f2 feature-size squares, m^2. */
+    double
+    f2Area(double f2) const
+    {
+        const double f = _node->feature;
+        return f2 * f * f;
+    }
+
+    /** Recompute the operating-point scales from Vdd and temperature;
+     *  every setter of either calls this, so the accessors stay loads. */
+    void refreshScales();
+
     const TechNode *_node;
     DeviceFlavor _flavor;
     double _vdd;
     double _temperature;
     WireProjection _projection = WireProjection::Aggressive;
+    double _leakageScale = 1.0;
+    double _gateLeakageScale = 1.0;
+    double _delayScale = 1.0;
 };
 
 /**

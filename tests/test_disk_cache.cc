@@ -277,6 +277,32 @@ TEST(DiskCache, TruncatedRecordReadsAsCorruptMiss)
     fs::remove_all(dir);
 }
 
+TEST(DiskCache, EmptyRecordIsACorruptMissThatTheNextStoreReplaces)
+{
+    // Records are published without fsync, so a crash can leave the
+    // final name pointing at a file whose data never reached the disk.
+    const fs::path dir = scratchDir("empty");
+    array::ArrayDiskCache disk(dir.string());
+    const auto key = sampleKey();
+    fs::create_directories(dir);
+    std::ofstream(disk.recordPath(key), std::ios::binary).close();
+    ASSERT_EQ(fs::file_size(disk.recordPath(key)), 0u);
+
+    bool corrupt = false;
+    EXPECT_FALSE(disk.load(key, corrupt).has_value());
+    EXPECT_TRUE(corrupt);
+
+    const auto sol = sampleSolution();
+    ASSERT_TRUE(disk.store(key, sol));
+    corrupt = true;
+    const auto got = disk.load(key, corrupt);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_FALSE(corrupt);
+    EXPECT_EQ(got->result.area, sol.result.area);
+    EXPECT_EQ(got->meetsTiming, sol.meetsTiming);
+    fs::remove_all(dir);
+}
+
 TEST(DiskCache, WrongVersionByteReadsAsCorruptMiss)
 {
     const fs::path dir = scratchDir("version");

@@ -20,6 +20,7 @@
 #include "array/array_cache.hh"
 #include "array/array_model.hh"
 #include "chip/processor.hh"
+#include "common/parallel.hh"
 #include "config/xml_loader.hh"
 
 using namespace mcpat;
@@ -47,6 +48,13 @@ struct PruneGuard
     }
     ~PruneGuard() { array::setOptimizerPruning(previous); }
     bool previous;
+};
+
+/** RAII guard: pin the worker count, restore the default. */
+struct ThreadCountGuard
+{
+    explicit ThreadCountGuard(int n) { parallel::setThreadCount(n); }
+    ~ThreadCountGuard() { parallel::setThreadCount(0); }
 };
 
 /** RAII guard: disable both cache tiers so every solve is real. */
@@ -201,10 +209,16 @@ TEST(Prune, WinnerIdenticalAcrossArrayShapes)
         cases.emplace_back("timing-infeasible", p);
     }
 
-    for (auto &[what, p] : cases) {
-        p.name = what;
-        expectIdenticalSolutions(p, t65, what + " @65nm");
-        expectIdenticalSolutions(p, t22, what + " @22nm LOP");
+    // At 4 threads each pruned batch builds its new subarray shapes in
+    // one parallel pass before evaluating; that path must agree too.
+    for (const int threads : {1, 4}) {
+        ThreadCountGuard pin(threads);
+        const std::string at = " @" + std::to_string(threads) + "t";
+        for (auto &[what, p] : cases) {
+            p.name = what;
+            expectIdenticalSolutions(p, t65, what + " @65nm" + at);
+            expectIdenticalSolutions(p, t22, what + " @22nm LOP" + at);
+        }
     }
 }
 
@@ -238,6 +252,28 @@ TEST(Prune, SearchStatsCountEvaluationsAndPrunes)
     // Every feasible candidate is either evaluated or pruned.
     EXPECT_EQ(pruned.evaluated + pruned.pruned, exhaustive.evaluated);
     EXPECT_LT(pruned.evaluated, exhaustive.evaluated);
+    EXPECT_EQ(exhaustive.subarrays, 0u)
+        << "the exhaustive oracle must not use the shape table";
+}
+
+TEST(Prune, SubarrayShapesAreBuiltOncePerSolve)
+{
+    // Many organizations share a (rows, cols) subarray shape; the
+    // pruned search builds each shape's Subarray at most once, so a
+    // lost shape table shows up as one build per evaluated candidate.
+    NoCacheGuard no_cache;
+    PruneGuard guard(true);
+    const tech::Technology t(45);
+    array::ArrayParams p;
+    p.name = "64KB shape probe";
+    p.sizeBytes = 64.0 * 1024;
+    p.blockWidthBits = 256;
+
+    array::resetOptimizerSearchStats();
+    const array::ArrayModel m(p, t);
+    const auto stats = array::optimizerSearchStats();
+    EXPECT_GT(stats.subarrays, 0u);
+    EXPECT_LT(stats.subarrays, stats.evaluated);
 }
 
 TEST(Prune, EveryShippedConfigBitIdentical)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tech/technology.hh"
 
 using namespace mcpat;
@@ -165,6 +167,53 @@ TEST(TechDvfs, BoundsEnforced)
     Technology t(45);
     EXPECT_THROW(t.setVdd(t.device().vth), ConfigError);
     EXPECT_THROW(t.setVdd(2.0 * t.device().vdd), ConfigError);
+}
+
+namespace {
+
+/**
+ * The operating-point scales are stored, not recomputed per call, so
+ * every path that changes Vdd or temperature must refresh them.  Hold
+ * the stored values bit-equal to the closed-form expressions.
+ */
+void
+expectScalesMatchClosedForm(const Technology &t, const char *when)
+{
+    const double vnom = t.device().vdd;
+    const double vth = t.device().vth;
+    const double v = t.vdd() / vnom;
+    const double leak =
+        std::pow(2.0, (t.temperature() - 300.0) / 20.0) * v;
+    const double delay = (t.vdd() / std::pow(t.vdd() - vth, 1.3)) /
+                         (vnom / std::pow(vnom - vth, 1.3));
+    EXPECT_EQ(t.leakageScale(), leak) << when;
+    EXPECT_EQ(t.gateLeakageScale(), v * v) << when;
+    EXPECT_EQ(t.delayScale(), delay) << when;
+    EXPECT_EQ(t.fo4(), t.device().fo4 * delay) << when;
+}
+
+} // namespace
+
+TEST(TechScales, CachedScalesTrackEverySetter)
+{
+    for (const DeviceFlavor f :
+         {DeviceFlavor::HP, DeviceFlavor::LSTP, DeviceFlavor::LOP}) {
+        Technology t(45, f, 330.0);
+        expectScalesMatchClosedForm(t, "constructed");
+        t.setVdd(0.85 * t.device().vdd);
+        expectScalesMatchClosedForm(t, "after setVdd");
+        t.setTemperature(385.0);
+        expectScalesMatchClosedForm(t, "after setTemperature");
+
+        Technology copy = t;
+        expectScalesMatchClosedForm(copy, "copied");
+        copy.setVdd(1.1 * copy.device().vdd);
+        copy.setTemperature(300.0);
+        expectScalesMatchClosedForm(copy, "copy after setters");
+        // The original keeps its own operating point.
+        EXPECT_NE(copy.leakageScale(), t.leakageScale());
+        expectScalesMatchClosedForm(t, "original after copy changed");
+    }
 }
 
 TEST(TechWires, PitchOrderingAcrossLayers)

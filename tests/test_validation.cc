@@ -25,6 +25,17 @@ struct Published
     double area;   ///< mm^2
 };
 
+/**
+ * Print a case by its config file.  Without this, gtest dumps the raw
+ * bytes of the struct, `file` pointer included, so the test names
+ * would change from one process to the next.
+ */
+void
+PrintTo(const Published &pub, std::ostream *os)
+{
+    *os << pub.file;
+}
+
 std::string
 findConfig(const std::string &name)
 {
