@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -49,9 +48,6 @@ constexpr double peripheryEnergyFactor = 1.8;
 const int kPartitions[] = {1, 2, 4, 8, 16, 32};
 const double kFoldings[] = {0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
 
-/** Scored metrics, in the order the objective weights them. */
-enum Metric { kDelay = 0, kDynamic, kLeakage, kArea, kCycle, kMetrics };
-
 /** The organization at a given canonical grid index. */
 ArrayOrg
 orgFromIndex(std::size_t idx)
@@ -63,38 +59,27 @@ orgFromIndex(std::size_t idx)
                     kFoldings[idx % n_fold]};
 }
 
-std::atomic<std::uint64_t> g_evaluated{0};
-std::atomic<std::uint64_t> g_pruned{0};
-std::atomic<std::uint64_t> g_subarrays{0};
-std::atomic<int> g_pruneOverride{-1};  ///< -1: follow MCPAT_PRUNE
-
-bool
-pruneDefaultFromEnv()
+/** Rows per bank, rounded up; every organization of a solve shares it. */
+int
+rowsPerBank(const ArrayParams &p)
 {
-    static const bool enabled = [] {
-        const char *env = std::getenv("MCPAT_PRUNE");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    return enabled;
+    return static_cast<int>(std::ceil(static_cast<double>(p.totalRows()) /
+                                      p.banks));
 }
+
+std::atomic<std::uint64_t> g_evaluated{0};
+std::atomic<std::uint64_t> g_subarrays{0};
+std::atomic<bool> g_shapeTable{true};
 
 /** Mirrors the organization-search counters into registry snapshots. */
 [[maybe_unused]] const bool g_prune_collector_registered =
     instr::Registry::instance().addCollector([](instr::Registry &reg) {
-        const std::uint64_t evaluated =
-            g_evaluated.load(std::memory_order_relaxed);
-        const std::uint64_t pruned =
-            g_pruned.load(std::memory_order_relaxed);
         reg.gauge("prune.evaluated")
-            .set(static_cast<double>(evaluated));
-        reg.gauge("prune.pruned").set(static_cast<double>(pruned));
+            .set(static_cast<double>(
+                g_evaluated.load(std::memory_order_relaxed)));
         reg.gauge("prune.subarrays")
             .set(static_cast<double>(
                 g_subarrays.load(std::memory_order_relaxed)));
-        reg.gauge("prune.prune_fraction")
-            .set(evaluated + pruned
-                     ? static_cast<double>(pruned) / (evaluated + pruned)
-                     : 0.0);
     });
 
 } // namespace
@@ -102,21 +87,19 @@ pruneDefaultFromEnv()
 bool
 optimizerPruning()
 {
-    const int o = g_pruneOverride.load(std::memory_order_relaxed);
-    return o < 0 ? pruneDefaultFromEnv() : o != 0;
+    return g_shapeTable.load(std::memory_order_relaxed);
 }
 
 void
 setOptimizerPruning(bool on)
 {
-    g_pruneOverride.store(on ? 1 : 0, std::memory_order_relaxed);
+    g_shapeTable.store(on, std::memory_order_relaxed);
 }
 
 OptimizerSearchStats
 optimizerSearchStats()
 {
-    return {g_evaluated.load(std::memory_order_relaxed),
-            g_pruned.load(std::memory_order_relaxed),
+    return {g_evaluated.load(std::memory_order_relaxed), 0,
             g_subarrays.load(std::memory_order_relaxed)};
 }
 
@@ -124,7 +107,6 @@ void
 resetOptimizerSearchStats()
 {
     g_evaluated.store(0, std::memory_order_relaxed);
-    g_pruned.store(0, std::memory_order_relaxed);
     g_subarrays.store(0, std::memory_order_relaxed);
 }
 
@@ -142,16 +124,6 @@ struct ArrayModel::OrgGeometry
     int subRows = 0;
     int subCols = 0;
     bool feasible = false;
-};
-
-/**
- * Provable lower bounds on a candidate's scored metrics, computed
- * without constructing the Subarray (no decoder sizing) or the exact
- * H-tree wires.
- */
-struct ArrayModel::CandidateFloor
-{
-    double lb[kMetrics] = {0.0, 0.0, 0.0, 0.0, 0.0};
 };
 
 ArrayModel::ArrayModel(ArrayParams params, const Technology &t,
@@ -184,15 +156,9 @@ ArrayModel::ArrayModel(ArrayParams params, const Technology &t,
 }
 
 ArrayModel::OrgGeometry
-ArrayModel::orgGeometry(const ArrayOrg &org) const
+ArrayModel::orgGeometry(const ArrayOrg &org, int rows_per_bank,
+                        int row_bits)
 {
-    const int total_rows = _params.totalRows();
-    const int row_bits = _params.rowBits();
-    const int banks = _params.banks;
-
-    const int rows_per_bank =
-        static_cast<int>(std::ceil(static_cast<double>(total_rows) /
-                                   banks));
     const double eff_rows = rows_per_bank / org.nspd;
     const double eff_cols = row_bits * org.nspd;
 
@@ -218,17 +184,21 @@ ArrayModel::orgGeometry(const ArrayOrg &org) const
 std::optional<ArrayModel::Candidate>
 ArrayModel::evaluate(const ArrayOrg &org) const
 {
-    const OrgGeometry geom = orgGeometry(org);
+    const OrgGeometry geom =
+        orgGeometry(org, rowsPerBank(_params), _params.rowBits());
     if (!geom.feasible)
         return std::nullopt;
     const Subarray sub(geom.subRows, geom.subCols, _params.totalPorts(),
                        _params.cellType, _tech);
-    return evaluateWith(org, geom, sub);
+    if (_params.cellType != CellType::CAM)
+        return evaluateWith(org, geom, sub, nullptr);
+    const CamSearch cam(sub, _tech);
+    return evaluateWith(org, geom, sub, &cam);
 }
 
 ArrayModel::Candidate
 ArrayModel::evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,
-                         const Subarray &sub) const
+                         const Subarray &sub, const CamSearch *cam) const
 {
     const int total_rows = _params.totalRows();
     const int row_bits = _params.rowBits();
@@ -315,17 +285,16 @@ ArrayModel::evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,
     // --- CAM search path. --------------------------------------------------
     double search_e = 0.0;
     double search_delay = 0.0;
-    if (_params.cellType == CellType::CAM) {
-        const CamSearch cam(sub, _tech);
+    if (cam) {
         // A search interrogates every subarray of one bank.
         search_e = peripheryEnergyFactor * subarrays *
-                       cam.energyPerSearch() +
+                       cam->energyPerSearch() +
                    htree_in_energy;
-        search_delay = htree_delay + global_delay + cam.delay();
+        search_delay = htree_delay + global_delay + cam->delay();
         const double sp = _params.searchPorts;
-        leak_sub += n_sub_total * cam.subthresholdLeakage() * sp;
-        leak_gate += n_sub_total * cam.gateLeakage() * sp;
-        area += n_sub_total * cam.area() * sp;
+        leak_sub += n_sub_total * cam->subthresholdLeakage() * sp;
+        leak_gate += n_sub_total * cam->gateLeakage() * sp;
+        area += n_sub_total * cam->area() * sp;
     }
 
     // eDRAM refresh: every row is read+restored once per retention
@@ -363,79 +332,6 @@ ArrayModel::evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,
     return c;
 }
 
-ArrayModel::CandidateFloor
-ArrayModel::candidateFloor(const ArrayOrg &org, const OrgGeometry &geom,
-                           const SubarrayFloor &f) const
-{
-    const int total_rows = _params.totalRows();
-    const int row_bits = _params.rowBits();
-    const int banks = _params.banks;
-    const int ports = _params.totalPorts();
-
-    // Bank footprint floor: the subarray floor dims (exact sense stack,
-    // floored decoder width), so every wire length below floors the
-    // real one.  Wire energy/leakage/area are monotone in length, so a
-    // RepeatedWire built at the floor length bounds the real wire;
-    // delay uses the analytic monotone floor instead (the discretized
-    // repeater count makes exact delay non-monotone).
-    const double bank_w = org.ndwl * f.width;
-    const double bank_h = org.ndbl * f.height;
-
-    const double htree_len = std::max(0.5 * (bank_w + bank_h), 1.0 * um);
-    const RepeatedWire htree_wire(htree_len, tech::WireLayer::Intermediate,
-                                  _tech);
-    const double htree_delay = 2.0 * repeatedWireDelayFloor(
-        htree_len, tech::WireLayer::Intermediate, _tech);
-    const int addr_wires =
-        std::max(1, static_cast<int>(std::ceil(std::log2(
-            std::max(2, total_rows))))) + 8;
-
-    double global_delay = 0.0, global_energy_rd = 0.0;
-    double global_leak_sub = 0.0, global_area = 0.0;
-    if (banks > 1) {
-        const int grid = static_cast<int>(std::ceil(std::sqrt(banks)));
-        const double glen =
-            std::max(0.5 * grid * (bank_w + bank_h), 1.0 * um);
-        const RepeatedWire gwire(glen, tech::WireLayer::Intermediate,
-                                 _tech);
-        const int gwires = addr_wires + row_bits;
-        global_delay = repeatedWireDelayFloor(
-            glen, tech::WireLayer::Intermediate, _tech);
-        global_energy_rd = 0.5 * gwires * gwire.energyPerEvent();
-        global_leak_sub = gwires * gwire.subthresholdLeakage();
-        global_area = gwires * gwire.area();
-    }
-
-    const double htree_in_energy =
-        0.5 * addr_wires * htree_wire.energyPerEvent();
-    const double htree_out_energy =
-        0.5 * row_bits * htree_wire.energyPerEvent();
-
-    CandidateFloor c;
-    // accessDelay = max(htree + global + subarray access, search path).
-    const double access = htree_delay + global_delay + f.accessDelay;
-    c.lb[kDelay] = access;
-    // cycleTime = max(subarray cycle, 0.5 * access).
-    c.lb[kCycle] = std::max(f.cycleTime, 0.5 * access);
-    // readEnergy floor (searchEnergy >= 0, eDRAM restore clamped >= 0).
-    c.lb[kDynamic] = peripheryEnergyFactor *
-                         (org.ndwl * (f.readEnergyFixed +
-                                      geom.subCols * f.readEnergyPerCol)) +
-                     htree_in_energy + htree_out_energy + global_energy_rd;
-    const double port_factor = 1.0 + extraPortPeriphery * (ports - 1);
-    const double n_sub_total =
-        static_cast<double>(org.subarrays()) * banks;
-    const int htree_wires = addr_wires + row_bits;
-    c.lb[kLeakage] = n_sub_total * f.subthresholdLeakage * port_factor +
-                     banks * htree_wires *
-                         htree_wire.subthresholdLeakage() +
-                     global_leak_sub;
-    c.lb[kArea] = n_sub_total * f.area * port_factor *
-                      bankRoutingOverhead +
-                  banks * htree_wires * htree_wire.area() + global_area;
-    return c;
-}
-
 void
 ArrayModel::searchExhaustive(std::vector<Candidate> &cands) const
 {
@@ -458,211 +354,71 @@ ArrayModel::searchExhaustive(std::vector<Candidate> &cands) const
 }
 
 void
-ArrayModel::searchPruned(const OptimizationWeights &weights,
-                         std::vector<Candidate> &cands) const
+ArrayModel::searchShapeTable(std::vector<Candidate> &cands) const
 {
-    // Branch-and-bound over the organization grid, constructed to keep
-    // the selected winner bit-identical to the exhaustive search:
-    //
-    //  - lb[m] are provable floors on each scored metric (candidateFloor);
-    //    lbBest[m], their minima over every feasible organization, floor
-    //    the normalizers the exhaustive selection divides by.
-    //  - safeScore is the lowest sum_m w[m] * actual[m] / lbBest[m] over
-    //    evaluated candidates that are pass-0 eligible under ANY final
-    //    normalizers (timing target met, area <= maxAreaRatio * lbBest
-    //    area) — an upper bound on the winner's final score.  While no
-    //    such candidate exists, pass 0 may come up empty and nothing is
-    //    pruned, so the fallback passes see the full candidate set.
-    //  - a candidate may be skipped only when lb[m] >= runMin[m] for
-    //    every metric (it cannot lower any normalizer below what the
-    //    survivors already achieve; runMin[m] are the running minima of
-    //    evaluated actuals) AND it provably cannot be selected, by
-    //    either of two rules:
-    //      (a) area-ineligible: lb[area] > maxAreaRatio * runMin[area].
-    //          Selection keeps the area constraint in passes 0 and 1,
-    //          and pass 2 is unreachable whenever any candidate exists
-    //          (with maxAreaRatio >= 1 the minimum-area survivor always
-    //          passes pass 1), so a candidate whose area floor exceeds
-    //          the constraint under the running minimum — an upper
-    //          bound on the final normalizer — can never be chosen.
-    //      (b) outscored: sum_m w[m] * lb[m] / runMin[m] > safeScore.
-    //    Both rules stay valid as runMin / safeScore shrink, so
-    //    evaluation order and batch size cannot change the outcome.
-    //
     // Many organizations share one subarray shape (subRows, subCols),
-    // and a shape's floor and Subarray depend on nothing else in the
-    // solve: each distinct shape is floored once here and built at most
-    // once, by the first batch that evaluates it.
+    // and a shape's Subarray and CAM search path depend on nothing else
+    // in the solve.  Each distinct shape is built once, by one task into
+    // its own slot; then every feasible organization is evaluated
+    // against that table into its own slot.  The candidates come out in
+    // canonical grid order, exactly as searchExhaustive lists them, so
+    // selection and its tie-breaks are unchanged.
     const std::size_t n_orgs = std::size(kPartitions) *
                                std::size(kPartitions) *
                                std::size(kFoldings);
-    const int ports = _params.totalPorts();
+    const int rows_per_bank = rowsPerBank(_params);
+    const int row_bits = _params.rowBits();
     struct Shape
     {
         int rows;
         int cols;
-        SubarrayFloor floor;
+        std::optional<Subarray> sub;
+        std::optional<CamSearch> cam;
     };
     struct Entry
     {
-        std::size_t idx;       ///< canonical grid index (tie-break order)
         ArrayOrg org;
         OrgGeometry geom;
         std::size_t shape;     ///< index into shapes
-        CandidateFloor floor;
-        double key;            ///< bound-based visit priority
     };
     std::vector<Shape> shapes;
     std::vector<Entry> entries;
     entries.reserve(n_orgs);
     for (std::size_t idx = 0; idx < n_orgs; ++idx) {
-        Entry e;
-        e.idx = idx;
-        e.org = orgFromIndex(idx);
-        e.geom = orgGeometry(e.org);
-        if (!e.geom.feasible)
+        const ArrayOrg org = orgFromIndex(idx);
+        const OrgGeometry geom = orgGeometry(org, rows_per_bank, row_bits);
+        if (!geom.feasible)
             continue;
         const auto same = [&](const Shape &sh) {
-            return sh.rows == e.geom.subRows && sh.cols == e.geom.subCols;
+            return sh.rows == geom.subRows && sh.cols == geom.subCols;
         };
-        e.shape = static_cast<std::size_t>(
+        const auto shape = static_cast<std::size_t>(
             std::find_if(shapes.begin(), shapes.end(), same) -
             shapes.begin());
-        if (e.shape == shapes.size())
-            shapes.push_back({e.geom.subRows, e.geom.subCols,
-                              Subarray::floorBounds(
-                                  e.geom.subRows, e.geom.subCols, ports,
-                                  _params.cellType, _tech)});
-        e.floor = candidateFloor(e.org, e.geom, shapes[e.shape].floor);
-        entries.push_back(e);
+        if (shape == shapes.size())
+            shapes.push_back({geom.subRows, geom.subCols, {}, {}});
+        entries.push_back({org, geom, shape});
     }
-    if (entries.empty())
-        return;
 
-    const double inf = std::numeric_limits<double>::max();
-    double lbBest[kMetrics];
-    std::fill(std::begin(lbBest), std::end(lbBest), inf);
-    for (const auto &e : entries)
-        for (int m = 0; m < kMetrics; ++m)
-            lbBest[m] = std::min(lbBest[m], e.floor.lb[m]);
-
-    const double w[kMetrics] = {weights.delay, weights.dynamic,
-                                weights.leakage, weights.area,
-                                weights.cycle};
-
-    // Visit likely winners first so the incumbent tightens early;
-    // stable sort keeps ties in canonical order.
-    for (auto &e : entries) {
-        e.key = 0.0;
-        for (int m = 0; m < kMetrics; ++m)
-            e.key += w[m] * e.floor.lb[m] / lbBest[m];
-    }
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const Entry &a, const Entry &b) {
-                         return a.key < b.key;
-                     });
-
-    const double target = _params.targetCycleTime;
-    double runMin[kMetrics];
-    std::fill(std::begin(runMin), std::end(runMin), inf);
-    double safeScore = inf;
-
-    std::vector<std::pair<std::size_t, Candidate>> out;
-    out.reserve(entries.size());
-    const std::size_t block = static_cast<std::size_t>(
-        std::max(1, parallel::threadCount()));
-    std::vector<const Entry *> batch;
-    std::vector<std::size_t> unbuilt;
-    std::vector<std::optional<Subarray>> subs(shapes.size());
-    std::vector<Candidate> slots;
-    std::uint64_t pruned = 0;
-    std::uint64_t built = 0;
-    std::size_t cursor = 0;
-    while (cursor < entries.size()) {
-        // One poll per batch bounds cancellation latency to a handful
-        // of candidate evaluations without taxing the inner loop.
-        cancel::checkpoint();
-        batch.clear();
-        while (cursor < entries.size() && batch.size() < block) {
-            const Entry &e = entries[cursor++];
-            bool preserves_norms = true;
-            for (int m = 0; m < kMetrics; ++m) {
-                if (e.floor.lb[m] < runMin[m]) {
-                    preserves_norms = false;
-                    break;
-                }
-            }
-            bool prune = false;
-            if (preserves_norms) {
-                if (weights.maxAreaRatio >= 1.0 &&
-                    e.floor.lb[kArea] >
-                        weights.maxAreaRatio * runMin[kArea]) {
-                    prune = true;  // rule (a): area-ineligible
-                } else if (safeScore < inf) {
-                    double lb_score = 0.0;
-                    for (int m = 0; m < kMetrics; ++m)
-                        lb_score += w[m] * e.floor.lb[m] / runMin[m];
-                    prune = lb_score > safeScore;  // rule (b): outscored
-                }
-            }
-            if (prune)
-                ++pruned;
-            else
-                batch.push_back(&e);
-        }
-        if (batch.empty())
-            continue;
-        // Build the batch's unseen shapes first, each by one task into
-        // its own slot, so evaluation below only reads the table.
-        unbuilt.clear();
-        for (const Entry *e : batch)
-            if (!subs[e->shape] &&
-                std::find(unbuilt.begin(), unbuilt.end(), e->shape) ==
-                    unbuilt.end())
-                unbuilt.push_back(e->shape);
-        if (!unbuilt.empty()) {
-            parallel::parallelFor(unbuilt.size(), [&](std::size_t i) {
-                const Shape &sh = shapes[unbuilt[i]];
-                subs[unbuilt[i]].emplace(sh.rows, sh.cols, ports,
-                                         _params.cellType, _tech);
-            });
-            built += unbuilt.size();
-        }
-        slots.resize(batch.size());
-        parallel::parallelFor(batch.size(), [&](std::size_t i) {
-            const Entry &e = *batch[i];
-            slots[i] = evaluateWith(e.org, e.geom, *subs[e.shape]);
-        });
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Candidate c = std::move(slots[i]);
-            const double actual[kMetrics] = {
-                c.res.accessDelay,
-                c.res.readEnergy + c.res.searchEnergy,
-                c.res.subthresholdLeakage,
-                c.res.area,
-                c.res.cycleTime};
-            for (int m = 0; m < kMetrics; ++m)
-                runMin[m] = std::min(runMin[m], actual[m]);
-            if ((target <= 0.0 || c.res.cycleTime <= target) &&
-                c.res.area <= weights.maxAreaRatio * lbBest[kArea]) {
-                double upper = 0.0;
-                for (int m = 0; m < kMetrics; ++m)
-                    upper += w[m] * actual[m] / lbBest[m];
-                safeScore = std::min(safeScore, upper);
-            }
-            out.emplace_back(batch[i]->idx, std::move(c));
-        }
-    }
-    g_pruned.fetch_add(pruned, std::memory_order_relaxed);
-    g_evaluated.fetch_add(out.size(), std::memory_order_relaxed);
-    g_subarrays.fetch_add(built, std::memory_order_relaxed);
-
-    // Restore canonical order so selection tie-breaks are unchanged.
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    cands.reserve(out.size());
-    for (auto &p : out)
-        cands.push_back(std::move(p.second));
+    const int ports = _params.totalPorts();
+    const bool is_cam = _params.cellType == CellType::CAM;
+    cancel::checkpoint();
+    parallel::parallelFor(shapes.size(), [&](std::size_t i) {
+        Shape &sh = shapes[i];
+        sh.sub.emplace(sh.rows, sh.cols, ports, _params.cellType, _tech);
+        if (is_cam)
+            sh.cam.emplace(*sh.sub, _tech);
+    });
+    cancel::checkpoint();
+    cands.resize(entries.size());
+    parallel::parallelFor(entries.size(), [&](std::size_t i) {
+        const Entry &e = entries[i];
+        const Shape &sh = shapes[e.shape];
+        cands[i] = evaluateWith(e.org, e.geom, *sh.sub,
+                                sh.cam ? &*sh.cam : nullptr);
+    });
+    g_evaluated.fetch_add(entries.size(), std::memory_order_relaxed);
+    g_subarrays.fetch_add(shapes.size(), std::memory_order_relaxed);
 }
 
 void
@@ -724,7 +480,7 @@ ArrayModel::optimize(const OptimizationWeights &weights)
     cancel::checkpoint();
     std::vector<Candidate> cands;
     if (optimizerPruning())
-        searchPruned(weights, cands);
+        searchShapeTable(cands);
     else
         searchExhaustive(cands);
     panicIf(cands.empty(),

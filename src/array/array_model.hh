@@ -25,28 +25,27 @@ namespace array {
 
 using tech::Technology;
 
+class CamSearch;
 class Subarray;
-struct SubarrayFloor;
 
 /**
- * Organization-search observability: full candidate evaluations
- * performed vs candidates skipped by the branch-and-bound pruner.
- * Process-global, thread-safe.
+ * Organization-search observability: candidate evaluations and
+ * shape-table Subarray builds.  Process-global, thread-safe.
  */
 struct OptimizerSearchStats
 {
     std::uint64_t evaluated = 0;  ///< candidates fully evaluated
-    std::uint64_t pruned = 0;     ///< candidates skipped by the bound
-    std::uint64_t subarrays = 0;  ///< Subarrays constructed by searchPruned
+    std::uint64_t pruned = 0;     ///< always 0: no candidate is skipped
+    std::uint64_t subarrays = 0;  ///< Subarrays built by the shape table
 };
 
 /**
- * Whether ArrayModel::optimize prunes candidates with the cheap
- * lower-bound test.  Defaults to on; MCPAT_PRUNE=0 (read once) or
- * setOptimizerPruning(false) selects the exhaustive search.  Pruning
- * is constructed to pick bit-identical winners to the exhaustive
- * search, so this switch exists for verification and benchmarking,
- * not correctness.
+ * Whether ArrayModel::optimize uses the shape-table search (true, the
+ * default), which builds one Subarray per distinct subarray shape, or
+ * the reference search (false), which builds a fresh Subarray for every
+ * organization.  Both evaluate every feasible organization and pick
+ * bit-identical winners, so this switch exists for verification and
+ * benchmarking, not correctness.
  */
 bool optimizerPruning();
 void setOptimizerPruning(bool on);
@@ -141,18 +140,15 @@ class ArrayModel
 
     struct Candidate;
     struct OrgGeometry;
-    struct CandidateFloor;
 
-    OrgGeometry orgGeometry(const ArrayOrg &org) const;
-    CandidateFloor candidateFloor(const ArrayOrg &org,
-                                  const OrgGeometry &geom,
-                                  const SubarrayFloor &f) const;
+    static OrgGeometry orgGeometry(const ArrayOrg &org, int rows_per_bank,
+                                   int row_bits);
     std::optional<Candidate> evaluate(const ArrayOrg &org) const;
+    /** @p cam is the shape's search path, null unless a CAM array. */
     Candidate evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,
-                           const Subarray &sub) const;
+                           const Subarray &sub, const CamSearch *cam) const;
     void searchExhaustive(std::vector<Candidate> &cands) const;
-    void searchPruned(const OptimizationWeights &weights,
-                      std::vector<Candidate> &cands) const;
+    void searchShapeTable(std::vector<Candidate> &cands) const;
     void selectBest(std::vector<Candidate> &cands,
                     const OptimizationWeights &weights);
     void optimize(const OptimizationWeights &weights);

@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "circuit/elmore.hh"
-#include "circuit/wire.hh"
 
 namespace mcpat {
 namespace array {
@@ -68,146 +67,7 @@ cellDims(CellType cell, int ports, const Technology &t)
     return d;
 }
 
-/**
- * Decoder-independent electricals of a rows x cols grid: the wordline,
- * bitline, sense, precharge, and cell-leakage terms shared verbatim by
- * the Subarray constructor and the pruning floor (floorBounds), so the
- * floor can never drift from the real model.
- */
-struct CoreElectricals
-{
-    double wordlineCap = 0.0;
-    double wordlineDelay = 0.0;
-    double wordlineEnergy = 0.0;
-    double bitlineCap = 0.0;
-    double bitlineDelay = 0.0;
-    double bitlineReadEnergyPerCol = 0.0;
-    double bitlineWriteEnergyPerCol = 0.0;
-    double senseDelay = 0.0;
-    double senseEnergyPerCol = 0.0;
-    double prechargeDelay = 0.0;
-    double subLeak = 0.0;   ///< cell + column periphery (no decoder)
-    double gateLeak = 0.0;  ///< cell + column periphery (no decoder)
-};
-
-static CoreElectricals
-coreElectricals(int rows, int cols, CellType cell, const CellDims &dims,
-                const Technology &t)
-{
-    CoreElectricals e;
-    const auto &wl_wire = t.wire(tech::WireLayer::Local);
-    const double vdd = t.vdd();
-    const double vdd2 = vdd * vdd;
-
-    // --- Wordline: distributed RC across the columns. -------------------
-    const double wl_len = cols * dims.w;
-    const double wl_res = wl_wire.resPerM * wl_len;
-    e.wordlineCap = cols * 2.0 * gateC(cellAccessWidth(t), t) +
-                    wl_wire.capPerM * wl_len;
-    e.wordlineDelay = distributedLineDelay(0.0, wl_res, e.wordlineCap, 0.0);
-    e.wordlineEnergy = e.wordlineCap * vdd2;
-
-    // --- Bitline: junction load per row plus wire. -----------------------
-    const double bl_len = rows * dims.h;
-    const double bl_res = wl_wire.resPerM * bl_len;
-    e.bitlineCap = rows * drainC(cellAccessWidth(t), t) +
-                   wl_wire.capPerM * bl_len;
-    // Cell read current discharges the line through two series devices.
-    const double i_cell = 0.5 * t.device().ionN * cellAccessWidth(t);
-    const double swing = std::max(senseSwing, 0.08 * vdd);
-    if (cell == CellType::EDRAM) {
-        // Charge sharing between the cell capacitor and the bitline:
-        // slower develop time and a destructive read that must restore
-        // the full value (charged as a write by the array model).
-        e.bitlineDelay = 2.0 * e.bitlineCap * swing / i_cell +
-                         0.38 * bl_res * e.bitlineCap;
-        e.bitlineReadEnergyPerCol = 0.5 * e.bitlineCap * vdd2;
-    } else {
-        e.bitlineDelay = e.bitlineCap * swing / i_cell +
-                         0.38 * bl_res * e.bitlineCap;
-        e.bitlineReadEnergyPerCol = e.bitlineCap * swing * vdd;  // restore
-    }
-    e.bitlineWriteEnergyPerCol = e.bitlineCap * vdd2;            // full swing
-
-    // --- Sense amplifier: latch-type, resolves in a few FO4; eDRAM
-    //     charge-sharing needs reference cells and a longer resolve.
-    e.senseDelay = (cell == CellType::EDRAM ? 7.0 : 2.5) * t.fo4();
-    const double wmin = minWidth(t);
-    e.senseEnergyPerCol = 10.0 * gateC(wmin, t) * vdd2;
-
-    // --- Precharge: restore the bitline swing between accesses. ---------
-    e.prechargeDelay = 0.5 * e.bitlineDelay + t.fo4();
-
-    // --- Leakage (cells + per-column periphery; decoder added by the
-    //     constructor). ---------------------------------------------------
-    const double ncells = static_cast<double>(rows) * cols;
-    const auto &d = t.device();
-    e.subLeak = ncells * d.ioffN * dims.leakW * t.leakageScale() * vdd +
-                cols * circuit::subthresholdLeakage(4.0 * wmin, 4.0 * wmin,
-                                                    t, 0.8);
-    e.gateLeak = ncells * circuit::gateLeakage(2.0 * cellAccessWidth(t), t) +
-                 cols * circuit::gateLeakage(6.0 * wmin, t);
-    return e;
-}
-
 } // namespace
-
-SubarrayFloor
-Subarray::floorBounds(int rows, int cols, int ports, CellType cell,
-                      const Technology &t)
-{
-    const CellDims dims = cellDims(cell, ports, t);
-    const CoreElectricals e = coreElectricals(rows, cols, cell, dims, t);
-
-    // Cheap decoder floors: the closed-form pieces of the Decoder model
-    // (predecode line RC, row-gate grid, predecode gate stack) computed
-    // without sizing any BufferChain.  Every omitted chain contributes
-    // nonnegative delay/leakage/area, so these floor the real decoder.
-    const int address_bits = std::max(
-        1, static_cast<int>(std::ceil(std::log2(
-               static_cast<double>(rows)))));
-    const int groups = std::max(1, (address_bits + 2) / 3);
-    const int predec_gates = groups * 8;
-    const double wmin = circuit::minWidth(t);
-    const double row_gate_w = 2.0 * wmin;
-    const double row_gate_in_c = circuit::gateC(row_gate_w, t);
-    const double bl_len = rows * dims.h;
-    const circuit::Wire predec_wire(std::max(bl_len, 1.0 * um),
-                                    tech::WireLayer::Local, t);
-    const double predec_line_c = predec_wire.capacitance() +
-                                 std::max(1.0, rows / 8.0) * row_gate_in_c;
-    const double decode_delay_lb = circuit::distributedLineDelay(
-        0.0, predec_wire.resistance(), predec_line_c, row_gate_in_c);
-    const double decode_subleak_lb =
-        rows * circuit::subthresholdLeakage(row_gate_w * groups,
-                                            row_gate_w * 2.0, t, 0.6) +
-        predec_gates * circuit::subthresholdLeakage(3.0 * wmin, 3.0 * wmin,
-                                                    t, 0.6);
-    const double decode_area_lb =
-        rows * t.logicGateArea() + predec_gates * 1.5 * t.logicGateArea();
-
-    SubarrayFloor f;
-    f.cellWidth = dims.w;
-    f.cellHeight = dims.h;
-    // accessDelay() adds the decoder's buffer chains >= 0 to these.
-    f.accessDelay = decode_delay_lb + e.wordlineDelay + e.bitlineDelay +
-                    e.senseDelay;
-    // cycleTime() is max(decodeDelay, wl+bl+sense+precharge).
-    f.cycleTime = std::max(decode_delay_lb,
-                           e.wordlineDelay + e.bitlineDelay + e.senseDelay +
-                               e.prechargeDelay);
-    // readEnergy(n) adds decodeEnergy >= 0 to these exact terms.
-    f.readEnergyFixed = e.wordlineEnergy;
-    f.readEnergyPerCol = e.bitlineReadEnergyPerCol + e.senseEnergyPerCol;
-    // subthresholdLeakage() adds the decoder buffer chains >= 0.
-    f.subthresholdLeakage = e.subLeak + decode_subleak_lb;
-    // Layout: the sense-stack height is the constructor's exact term;
-    // the decoder width keeps only the floored gate area.
-    f.height = rows * dims.h + 50.0 * t.feature();
-    f.width = cols * dims.w + decode_area_lb / std::max(bl_len, 1.0 * um);
-    f.area = f.width * f.height;
-    return f;
-}
 
 Subarray::Subarray(int rows, int cols, int ports, CellType cell,
                    const Technology &t)
@@ -227,28 +87,63 @@ Subarray::Subarray(int rows, int cols, int ports, CellType cell,
     _cellW = dims.w;
     _cellH = dims.h;
 
-    // Wordline/bitline/sense/precharge/cell-leakage terms are shared
-    // with the pruning floor (floorBounds) so the two cannot diverge.
-    const CoreElectricals e = coreElectricals(rows, cols, cell, dims, t);
-    _wordlineCap = e.wordlineCap;
-    _wordlineDelay = e.wordlineDelay;
-    _wordlineEnergy = e.wordlineEnergy;
-    _bitlineCap = e.bitlineCap;
-    _bitlineDelay = e.bitlineDelay;
-    _bitlineReadEnergyPerCol = e.bitlineReadEnergyPerCol;
-    _bitlineWriteEnergyPerCol = e.bitlineWriteEnergyPerCol;
-    _senseDelay = e.senseDelay;
-    _senseEnergyPerCol = e.senseEnergyPerCol;
-    _prechargeDelay = e.prechargeDelay;
+    const auto &wl_wire = t.wire(tech::WireLayer::Local);
+    const double vdd = t.vdd();
+    const double vdd2 = vdd * vdd;
+
+    // --- Wordline: distributed RC across the columns. -------------------
+    const double wl_len = cols * dims.w;
+    const double wl_res = wl_wire.resPerM * wl_len;
+    _wordlineCap = cols * 2.0 * gateC(cellAccessWidth(t), t) +
+                   wl_wire.capPerM * wl_len;
+    _wordlineDelay = distributedLineDelay(0.0, wl_res, _wordlineCap, 0.0);
+    _wordlineEnergy = _wordlineCap * vdd2;
+
+    // --- Bitline: junction load per row plus wire. -----------------------
+    const double bl_len = rows * dims.h;
+    const double bl_res = wl_wire.resPerM * bl_len;
+    _bitlineCap = rows * drainC(cellAccessWidth(t), t) +
+                  wl_wire.capPerM * bl_len;
+    // Cell read current discharges the line through two series devices.
+    const double i_cell = 0.5 * t.device().ionN * cellAccessWidth(t);
+    const double swing = std::max(senseSwing, 0.08 * vdd);
+    if (cell == CellType::EDRAM) {
+        // Charge sharing between the cell capacitor and the bitline:
+        // slower develop time and a destructive read that must restore
+        // the full value (charged as a write by the array model).
+        _bitlineDelay = 2.0 * _bitlineCap * swing / i_cell +
+                        0.38 * bl_res * _bitlineCap;
+        _bitlineReadEnergyPerCol = 0.5 * _bitlineCap * vdd2;
+    } else {
+        _bitlineDelay = _bitlineCap * swing / i_cell +
+                        0.38 * bl_res * _bitlineCap;
+        _bitlineReadEnergyPerCol = _bitlineCap * swing * vdd;  // restore
+    }
+    _bitlineWriteEnergyPerCol = _bitlineCap * vdd2;            // full swing
+
+    // --- Sense amplifier: latch-type, resolves in a few FO4; eDRAM
+    //     charge-sharing needs reference cells and a longer resolve.
+    _senseDelay = (cell == CellType::EDRAM ? 7.0 : 2.5) * t.fo4();
+    const double wmin = minWidth(t);
+    _senseEnergyPerCol = 10.0 * gateC(wmin, t) * vdd2;
+
+    // --- Precharge: restore the bitline swing between accesses. ---------
+    _prechargeDelay = 0.5 * _bitlineDelay + t.fo4();
 
     _decodeEnergy = _decoder.energyPerAccess();
 
-    // --- Leakage: shared cell/column terms plus the decoder stack. ------
-    _subLeak = e.subLeak + _decoder.subthresholdLeakage();
-    _gateLeak = e.gateLeak + _decoder.gateLeakage();
+    // --- Leakage: cells, per-column periphery, and the decoder stack. ---
+    const double ncells = static_cast<double>(rows) * cols;
+    const auto &d = t.device();
+    _subLeak = ncells * d.ioffN * dims.leakW * t.leakageScale() * vdd +
+               cols * circuit::subthresholdLeakage(4.0 * wmin, 4.0 * wmin,
+                                                   t, 0.8) +
+               _decoder.subthresholdLeakage();
+    _gateLeak = ncells * circuit::gateLeakage(2.0 * cellAccessWidth(t), t) +
+                cols * circuit::gateLeakage(6.0 * wmin, t) +
+                _decoder.gateLeakage();
 
     // --- Layout. ----------------------------------------------------------
-    const double bl_len = rows * _cellH;
     const double sense_stack_h = 50.0 * t.feature();  // SA+precharge
     const double decoder_w = _decoder.area() / std::max(bl_len, 1.0 * um);
     _width = cols * _cellW + decoder_w;

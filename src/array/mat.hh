@@ -16,30 +16,6 @@ namespace mcpat {
 namespace array {
 
 /**
- * Cheap, provable lower bounds on a Subarray's figures of merit,
- * computed without sizing the decoder (the expensive part of
- * construction).  Every field floors the corresponding quantity of a
- * fully constructed Subarray with the same shape: the wordline,
- * bitline, sense, and cell terms are the exact constructor values and
- * the omitted decoder/periphery contributions are all nonnegative.
- * The array-organization pruner uses these to discard candidates
- * before paying for a full evaluation.
- */
-struct SubarrayFloor
-{
-    double cellWidth = 0.0;       ///< exact cell pitch, m
-    double cellHeight = 0.0;      ///< exact cell pitch, m
-    double width = 0.0;           ///< cells + decoder floor, <= width()
-    double height = 0.0;          ///< cells + sense stack, == height()
-    double accessDelay = 0.0;     ///< <= accessDelay()
-    double cycleTime = 0.0;       ///< <= cycleTime()
-    double readEnergyFixed = 0.0; ///< <= fixed part of readEnergy()
-    double readEnergyPerCol = 0.0;///< <= per-active-column readEnergy()
-    double subthresholdLeakage = 0.0;  ///< <= subthresholdLeakage()
-    double area = 0.0;            ///< width * height, <= area()
-};
-
-/**
  * One subarray of rows x cols storage cells with @c ports identical
  * access ports (one of which is exercised per access).
  */
@@ -48,10 +24,6 @@ class Subarray
   public:
     Subarray(int rows, int cols, int ports, CellType cell,
              const Technology &t);
-
-    /** Lower-bound figures for this shape, no decoder construction. */
-    static SubarrayFloor floorBounds(int rows, int cols, int ports,
-                                     CellType cell, const Technology &t);
 
     int rows() const { return _rows; }
     int cols() const { return _cols; }

@@ -77,37 +77,6 @@ RepeatedWire::RepeatedWire(double length, WireLayer layer,
     _area = n_seg * inverterArea(_repWidth, t);
 }
 
-double
-repeatedWireDelayFloor(double length, WireLayer layer, const Technology &t)
-{
-    panicIf(length < 0.0, "negative wire length");
-    const auto &wp = t.wire(layer);
-    const double r_per_m = wp.resPerM;
-    const double c_per_m = wp.capPerM;
-
-    // Same repeater sizing as RepeatedWire (delay-optimal, no derate).
-    const double wmin = minWidth(t);
-    const Inverter unit(wmin, t);
-    const double r0 = unit.outputRes(t);
-    const double c0 = unit.inputC(t);
-    const double h_opt = std::sqrt(r0 * c_per_m / (r_per_m * c0));
-    const Inverter rep(std::max(wmin, wmin * h_opt), t);
-
-    // RepeatedWire's total delay with n segments over length L is
-    //   T(L, n) = n*A + B*L + C*L^2/n,
-    //     A = rcDelayFactor * repR * (repSelf + repIn)
-    //     B = rcDelayFactor * (repR * c_per_m + r_per_m * repIn)
-    //     C = 0.38 * r_per_m * c_per_m.
-    // Minimizing over real n > 0 (n* = L*sqrt(C/A)) floors the
-    // discretized delay at every length:  T >= B*L + 2*L*sqrt(A*C).
-    const double rep_r = rep.outputRes(t);
-    const double rep_in = rep.inputC(t);
-    const double a = rcDelayFactor * rep_r * (rep.selfC(t) + rep_in);
-    const double b = rcDelayFactor * (rep_r * c_per_m + r_per_m * rep_in);
-    const double c = 0.38 * r_per_m * c_per_m;
-    return b * length + 2.0 * length * std::sqrt(a * c);
-}
-
 LowSwingWire::LowSwingWire(double length, WireLayer layer,
                            const Technology &t)
 {

@@ -92,20 +92,6 @@ class RepeatedWire
 };
 
 /**
- * Analytic floor on repeated-wire delay: a provable lower bound on
- * RepeatedWire(len, layer, t).delay() for every len >= @p length.
- *
- * The repeater count is discretized (ceil), which makes the exact
- * delay very slightly non-monotone at segment boundaries; relaxing the
- * count to a positive real and minimizing gives a closed-form bound
- * that is linear and monotone in length.  The array-organization
- * pruner (array_model.cc) uses this to bound H-tree delay from cheap
- * geometry floors without constructing the wire.
- */
-double repeatedWireDelayFloor(double length, WireLayer layer,
-                              const Technology &t);
-
-/**
  * Low-swing differential wire: a full-swing driver launches a reduced
  * voltage (vSwing) onto two wires sensed by a differential amplifier.
  * Used for long, energy-critical broadcast paths.

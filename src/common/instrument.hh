@@ -12,7 +12,7 @@
  *  - a **metrics registry** of named counters, gauges, and timers.
  *    Instruments register metrics lazily by name; subsystems that keep
  *    their own cheap internal counters (the array memo cache, the
- *    branch-and-bound pruner, the thread pool) export them through
+ *    organization search, the thread pool) export them through
  *    *collectors* — callbacks run at snapshot time — so the hot paths
  *    pay nothing for the registry until someone actually asks.
  *
@@ -23,10 +23,10 @@
  *    where the per-phase wall-clock in the run manifest comes from.
  *
  *  - a **run manifest**: one JSON object describing a run — wall clock
- *    per phase, every registry metric, cache hit rates per tier, prune
- *    efficacy, thread count, config checksum — written to a file
- *    (-metrics_out), embedded in the JSON report, or aggregated across
- *    a batch.
+ *    per phase, every registry metric, cache hit rates per tier,
+ *    organization-search counts, thread count, config checksum —
+ *    written to a file (-metrics_out), embedded in the JSON report, or
+ *    aggregated across a batch.
  *
  * Cost model: when disabled, every instrumentation site is one relaxed
  * atomic load and a branch — span names are never even constructed

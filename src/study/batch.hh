@@ -54,7 +54,7 @@ struct BatchOptions
     /**
      * When non-empty, write an aggregated run manifest (JSON) here:
      * per-input timing and outcome plus the full instrumentation
-     * registry (phases, cache tiers, prune efficacy, pool metrics).
+     * registry (phases, cache tiers, search counts, pool metrics).
      * The CLI's -metrics_out in batch mode.
      */
     std::string metricsOut;

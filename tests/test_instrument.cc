@@ -199,9 +199,11 @@ TEST(InstrumentDisabled, SpansAndSitesLeaveNoTrace)
     // zero both mean the disabled sites pushed nothing.
     for (const char *name : {"parallel.tasks", "parallel.serial_tasks",
                              "parallel.jobs"}) {
-        for (const auto &s : samples)
-            if (s.name == name)
+        for (const auto &s : samples) {
+            if (s.name == name) {
                 EXPECT_EQ(s.value, 0.0) << name;
+            }
+        }
     }
 }
 

@@ -268,9 +268,11 @@ TEST(HistogramRegistry, StableReferencesAndSortedSnapshots)
         snaps.begin(), snaps.end(), [](const auto &x, const auto &y) {
             return x.first < y.first;
         }));
-    for (const auto &[name, snap] : snaps)
-        if (name == "t.hist")
+    for (const auto &[name, snap] : snaps) {
+        if (name == "t.hist") {
             EXPECT_EQ(snap.count, 2u);
+        }
+    }
 
     reg.reset();
     EXPECT_EQ(reg.histogram("t.hist").count(), 0u);
