@@ -3,9 +3,10 @@
  * Experiment M1: modeling speed (google-benchmark).  The paper's core
  * claim of practicality is that a full chip models in well under a
  * second — fast enough to embed in design-space-exploration loops —
- * unlike EDA flows.  This bench times the three building blocks: a
- * cache solve (with organization search), a full core, and a complete
- * validation-class chip with its report.
+ * unlike EDA flows.  Per-layer speed at each cache state is measured
+ * by perfbench (`cold_chip`, `disk_warm`, ...); this bench keeps the
+ * two scoreboards perfbench does not cover: the 22 nm case study at 1
+ * vs 4 threads, and the instrumentation layer's overhead (a CI gate).
  */
 
 #include <benchmark/benchmark.h>
@@ -13,18 +14,15 @@
 #include <chrono>
 #include <filesystem>
 #include <thread>
-#include <unistd.h>
 
 #include "array/array_cache.hh"
 #include "array/array_model.hh"
-#include "array/cache_model.hh"
 #include "chip/component_memo.hh"
 #include "chip/processor.hh"
 #include "common/flight_recorder.hh"
 #include "common/instrument.hh"
 #include "common/parallel.hh"
 #include "config/xml_loader.hh"
-#include "core/core.hh"
 #include "study/sweep.hh"
 
 #include "bench/bench_util.hh"
@@ -52,153 +50,6 @@ candidatesEvaluated()
 {
     return static_cast<double>(array::optimizerSearchStats().evaluated);
 }
-
-void
-BM_CacheSolve(benchmark::State &state)
-{
-    const tech::Technology t(65);
-    for (auto _ : state) {
-        array::CacheParams p;
-        p.capacityBytes = 1024.0 * 1024;
-        p.assoc = 8;
-        p.banks = 4;
-        p.sequentialAccess = true;
-        array::CacheModel m(p, t);
-        benchmark::DoNotOptimize(m.readEnergy());
-    }
-}
-BENCHMARK(BM_CacheSolve)->Unit(benchmark::kMillisecond);
-
-void
-BM_CoreSolve(benchmark::State &state)
-{
-    const tech::Technology t(65);
-    for (auto _ : state) {
-        core::CoreParams p;
-        core::Core c(p, t);
-        benchmark::DoNotOptimize(c.makeTdpReport().peakDynamic);
-    }
-}
-BENCHMARK(BM_CoreSolve)->Unit(benchmark::kMillisecond);
-
-void
-BM_FullChip(benchmark::State &state)
-{
-    const auto loaded = config::loadSystemParamsFromFile(
-        bench::findConfig("niagara.xml"));
-    for (auto _ : state) {
-        chip::Processor proc(loaded.system);
-        benchmark::DoNotOptimize(proc.tdp());
-    }
-}
-BENCHMARK(BM_FullChip)->Unit(benchmark::kMillisecond);
-
-/**
- * Full chip solve with the in-process tiers hot vs cold.  The cold row
- * clears the array tier and the component memo every iteration, so it
- * times a real solve; the warm row is the steady-state cost inside a
- * design-space-exploration loop that rebuilds the same chip, which the
- * component memo serves whole.  `candidates` is the organization-search
- * candidates evaluated per iteration (0 on the warm row).
- */
-void
-BM_FullChipArrayCache(benchmark::State &state)
-{
-    const bool cached = state.range(0) != 0;
-    const auto loaded = config::loadSystemParamsFromFile(
-        bench::findConfig("niagara.xml"));
-    auto &cache = array::ArrayResultCache::instance();
-    const bool was_enabled = cache.enabled();
-    cache.setEnabled(true);
-    clearInProcessTiers();
-    if (cached)
-        chip::Processor warmup(loaded.system);  // prime the memo table
-    const double candidates0 = candidatesEvaluated();
-    for (auto _ : state) {
-        if (!cached)
-            clearInProcessTiers();
-        chip::Processor proc(loaded.system);
-        benchmark::DoNotOptimize(proc.tdp());
-    }
-    state.counters["candidates"] =
-        (candidatesEvaluated() - candidates0) / state.iterations();
-    cache.setEnabled(was_enabled);
-    clearInProcessTiers();
-}
-BENCHMARK(BM_FullChipArrayCache)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("warm")
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Persistent-cache scoreboard: a full chip solved with the on-disk
- * cache cold (empty directory, every array solved and persisted) vs
- * warm (records present, memory tier and component memo dropped,
- * every array deserialized from disk).  The `cold_over_warm` counter
- * is the headline: a warm process start should be several times
- * faster than a cold one, which is the point of persisting solutions
- * across runs.  `cold_candidates` / `warm_candidates` count the
- * organization-search candidates each arm evaluated per iteration.
- */
-void
-BM_ColdVsWarmDiskCache(benchmark::State &state)
-{
-    namespace fs = std::filesystem;
-    using clock = std::chrono::steady_clock;
-    const auto loaded = config::loadSystemParamsFromFile(
-        bench::findConfig("niagara.xml"));
-    auto &cache = array::ArrayResultCache::instance();
-    const bool was_enabled = cache.enabled();
-    cache.setEnabled(true);
-    const fs::path dir = fs::temp_directory_path() /
-        ("mcpat_bench_diskcache_" + std::to_string(::getpid()));
-
-    double cold_s = 0.0, warm_s = 0.0;
-    double cold_cands = 0.0, warm_cands = 0.0;
-    for (auto _ : state) {
-        // Cold: no records on disk, no memo entries.
-        fs::remove_all(dir);
-        cache.setCacheDir(dir.string());
-        clearInProcessTiers();
-        const double c0 = candidatesEvaluated();
-        const auto t0 = clock::now();
-        {
-            chip::Processor proc(loaded.system);
-            benchmark::DoNotOptimize(proc.tdp());
-        }
-        const auto t1 = clock::now();
-        const double c1 = candidatesEvaluated();
-
-        // Warm: records persisted by the cold pass; drop the memory
-        // tier and the component memo to simulate a fresh process
-        // against a primed cache dir.
-        clearInProcessTiers();
-        const auto t2 = clock::now();
-        {
-            chip::Processor proc(loaded.system);
-            benchmark::DoNotOptimize(proc.tdp());
-        }
-        const auto t3 = clock::now();
-
-        cold_s += std::chrono::duration<double>(t1 - t0).count();
-        warm_s += std::chrono::duration<double>(t3 - t2).count();
-        cold_cands += c1 - c0;
-        warm_cands += candidatesEvaluated() - c1;
-    }
-    const double n = static_cast<double>(state.iterations());
-    state.counters["cold_ms"] = 1e3 * cold_s / n;
-    state.counters["warm_ms"] = 1e3 * warm_s / n;
-    state.counters["cold_over_warm"] = warm_s > 0.0 ? cold_s / warm_s
-                                                    : 0.0;
-    state.counters["cold_candidates"] = cold_cands / n;
-    state.counters["warm_candidates"] = warm_cands / n;
-    cache.setCacheDir("");
-    cache.setEnabled(was_enabled);
-    clearInProcessTiers();
-    fs::remove_all(dir);
-}
-BENCHMARK(BM_ColdVsWarmDiskCache)->Unit(benchmark::kMillisecond);
 
 /**
  * End-to-end scoreboard: the paper's 22 nm case study (8 design points

@@ -41,7 +41,6 @@
 #include <unistd.h>
 
 #include "common/diagnostics.hh"
-#include "common/json_check.hh"
 #include "common/json_value.hh"
 #include "common/net.hh"
 #include "study/server.hh"
@@ -107,8 +106,8 @@ struct ClientTally
 
 /**
  * One client thread: its own connection, @p requests sequential
- * evaluation requests.  With @p check, every response line and the
- * embedded report must pass the strict JSON checker.
+ * evaluation requests.  Every response line must parse as strict
+ * JSON; with @p check, so must the embedded report document.
  */
 ClientTally
 runClient(const net::Endpoint &ep, const std::string &config,
@@ -151,19 +150,14 @@ runClient(const net::Endpoint &ep, const std::string &config,
             continue;
         }
         if (check) {
-            std::string jerr;
-            if (!common::jsonValid(reply, &jerr)) {
-                ++tally.failures;
-                if (tally.firstError.empty())
-                    tally.firstError = "response line: " + jerr;
-                continue;
-            }
             const std::string report = v.getString("report");
-            if (report.empty() || !common::jsonValid(report, &jerr)) {
+            common::JsonValue doc;
+            if (report.empty() ||
+                !common::jsonParse(report, doc, &error)) {
                 ++tally.failures;
                 if (tally.firstError.empty())
                     tally.firstError = "embedded report: " +
-                        (report.empty() ? "missing" : jerr);
+                        (report.empty() ? "missing" : error);
                 continue;
             }
         }

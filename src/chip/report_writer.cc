@@ -8,62 +8,18 @@
 #include <cmath>
 #include <iomanip>
 
+#include "common/diagnostics.hh"
 #include "common/units.hh"
 
 namespace mcpat {
 namespace chip {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
 
 /**
- * Emit one numeric field.  JSON has no NaN/Infinity literals; emitting
- * them raw (what operator<< does) produces a document every parser
- * rejects.  Non-finite values become `null` and flip @p valid so the
- * document itself records that it is incomplete.
+ * The root `valid` flag: false when any metric in the tree is
+ * non-finite, i.e. when the document carries a `null` in its place.
  */
-void
-writeJsonNumber(std::ostream &os, double v, bool &valid)
-{
-    if (std::isfinite(v)) {
-        os << v;
-    } else {
-        os << "null";
-        valid = false;
-    }
-}
-
 bool
 reportAllFinite(const Report &r)
 {
@@ -80,7 +36,7 @@ reportAllFinite(const Report &r)
 }
 
 void
-writeJsonNode(std::ostream &os, const Report &r, int indent, bool &valid,
+writeJsonNode(std::ostream &os, const Report &r, int indent,
               const bool *root_valid = nullptr,
               const std::string *instrumentation = nullptr)
 {
@@ -94,28 +50,28 @@ writeJsonNode(std::ostream &os, const Report &r, int indent, bool &valid,
         os << pad << "  \"instrumentation\":\n" << *instrumentation
            << ",\n";
     }
-    os << pad << "  \"name\": \"" << jsonEscape(r.name) << "\",\n";
+    os << pad << "  \"name\": \"" << jsonEscapeString(r.name) << "\",\n";
     os << pad << "  \"area_mm2\": ";
-    writeJsonNumber(os, r.area / mm2, valid);
+    writeJsonNumber(os, r.area / mm2);
     os << ",\n" << pad << "  \"peak_dynamic_w\": ";
-    writeJsonNumber(os, r.peakDynamic, valid);
+    writeJsonNumber(os, r.peakDynamic);
     os << ",\n" << pad << "  \"runtime_dynamic_w\": ";
-    writeJsonNumber(os, r.runtimeDynamic, valid);
+    writeJsonNumber(os, r.runtimeDynamic);
     os << ",\n" << pad << "  \"subthreshold_leakage_w\": ";
-    writeJsonNumber(os, r.subthresholdLeakage, valid);
+    writeJsonNumber(os, r.subthresholdLeakage);
     os << ",\n" << pad << "  \"runtime_subthreshold_leakage_w\": ";
-    writeJsonNumber(os, r.runtimeSubLeak(), valid);
+    writeJsonNumber(os, r.runtimeSubLeak());
     os << ",\n" << pad << "  \"gate_leakage_w\": ";
-    writeJsonNumber(os, r.gateLeakage, valid);
+    writeJsonNumber(os, r.gateLeakage);
     os << ",\n" << pad << "  \"critical_path_ns\": ";
-    writeJsonNumber(os, r.criticalPath / ns, valid);
+    writeJsonNumber(os, r.criticalPath / ns);
     os << ",\n" << pad << "  \"children\": [";
     if (r.children.empty()) {
         os << "]\n";
     } else {
         os << "\n";
         for (std::size_t i = 0; i < r.children.size(); ++i) {
-            writeJsonNode(os, r.children[i], indent + 4, valid);
+            writeJsonNode(os, r.children[i], indent + 4);
             os << (i + 1 < r.children.size() ? ",\n" : "\n");
         }
         os << pad << "  ]\n";
@@ -123,27 +79,12 @@ writeJsonNode(std::ostream &os, const Report &r, int indent, bool &valid,
     os << pad << "}";
 }
 
-std::string
-csvEscape(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += "\"\"";
-        else
-            out += c;
-    }
-    return out + "\"";
-}
-
 void
 writeCsvNode(std::ostream &os, const Report &r, const std::string &path)
 {
     const std::string full =
         path.empty() ? r.name : path + "/" + r.name;
-    os << csvEscape(full) << ',';
+    os << csvEscapeField(full) << ',';
     writeCsvNumber(os, r.area / mm2);
     os << ',';
     writeCsvNumber(os, r.peakDynamic);
@@ -184,9 +125,8 @@ writeReportJson(std::ostream &os, const Report &report,
     // max_digits10: doubles survive a write/parse round trip exactly,
     // so cached and freshly computed reports diff bit-identically.
     os << std::setprecision(17);
-    bool valid = true;
     const bool all_finite = reportAllFinite(report);
-    writeJsonNode(os, report, 0, valid, &all_finite, instrumentation);
+    writeJsonNode(os, report, 0, &all_finite, instrumentation);
     os << "\n";
     os.flags(flags);
     os.precision(precision);

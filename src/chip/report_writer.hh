@@ -45,9 +45,6 @@ void writeReportJson(std::ostream &os, const Report &report,
  */
 void writeReportCsv(std::ostream &os, const Report &report);
 
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(const std::string &s);
-
 /**
  * Emit one numeric CSV field.  Finite values print through the
  * stream's current precision; non-finite values emit an *empty* field

@@ -6,7 +6,9 @@
 #include "common/diagnostics.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace mcpat {
@@ -127,6 +129,58 @@ jsonEscapeString(const std::string &s)
     return out;
 }
 
+std::string
+jsonRoundTrip(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << v;
+    return os.str();
+}
+
+bool
+writeJsonNumber(std::ostream &os, double v)
+{
+    if (std::isfinite(v)) {
+        os << v;
+        return true;
+    }
+    os << "null";
+    return false;
+}
+
+std::string
+csvEscapeField(const std::string &s)
+{
+    if (s.find_first_of(",\"\n\r") == std::string::npos)
+        return s;
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"')
+            out += "\"\"";
+        else
+            out += c;
+    }
+    return out + "\"";
+}
+
+namespace {
+
+/** One diagnostic as a single-line JSON object. */
+void
+writeDiagnosticObject(std::ostream &os, const Diagnostic &d)
+{
+    os << "{\"severity\": \"" << severityName(d.severity)
+       << "\", \"component\": \"" << jsonEscapeString(d.component)
+       << "\", \"key\": \"" << jsonEscapeString(d.key)
+       << "\", \"line\": " << d.line << ", \"message\": \""
+       << jsonEscapeString(d.message) << "\"}";
+}
+
+} // namespace
+
 void
 writeDiagnosticsJson(std::ostream &os, const DiagnosticList &diags,
                      int indent)
@@ -139,35 +193,26 @@ writeDiagnosticsJson(std::ostream &os, const DiagnosticList &diags,
     os << "[\n";
     const auto &items = diags.items();
     for (std::size_t i = 0; i < items.size(); ++i) {
-        const Diagnostic &d = items[i];
-        os << pad << "  {\"severity\": \"" << severityName(d.severity)
-           << "\", \"component\": \"" << jsonEscapeString(d.component)
-           << "\", \"key\": \"" << jsonEscapeString(d.key)
-           << "\", \"line\": " << d.line << ", \"message\": \""
-           << jsonEscapeString(d.message) << "\"}"
-           << (i + 1 < items.size() ? ",\n" : "\n");
+        os << pad << "  ";
+        writeDiagnosticObject(os, items[i]);
+        os << (i + 1 < items.size() ? ",\n" : "\n");
     }
     os << pad << "]";
 }
 
-namespace {
-
 std::string
-csvEscapeField(const std::string &s)
+diagnosticsJsonLine(const DiagnosticList &diags)
 {
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += "\"\"";
-        else
-            out += c;
+    std::ostringstream os;
+    os << "[";
+    const auto &items = diags.items();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        os << (i ? ", " : "");
+        writeDiagnosticObject(os, items[i]);
     }
-    return out + "\"";
+    os << "]";
+    return os.str();
 }
-
-} // namespace
 
 void
 writeDiagnosticsCsv(std::ostream &os, const DiagnosticList &diags)

@@ -113,16 +113,47 @@ class ValidationError : public ConfigError
     DiagnosticList _diags;
 };
 
-/** Escape a string for inclusion in a JSON document. */
+// ---------------------------------------------------------------------
+// Output rules shared by every JSON and CSV writer in the repository.
+// ---------------------------------------------------------------------
+
+/**
+ * Escape a string for inclusion in a JSON document: `"` and `\`
+ * are backslash-escaped, `\n` and `\t` use their short forms, every
+ * other byte below 0x20 becomes `\u00XX`, and all other bytes pass
+ * through unchanged.
+ */
 std::string jsonEscapeString(const std::string &s);
 
 /**
- * Emit a diagnostics array as JSON:
+ * A double as JSON text that parses back bit-identically
+ * (max_digits10 significant digits).  JSON has no NaN/Infinity
+ * literals, so a non-finite value becomes `null`.
+ */
+std::string jsonRoundTrip(double v);
+
+/**
+ * Write a double as a JSON number at @p os's current precision.  A
+ * non-finite value writes `null`; the result is false exactly then.
+ */
+bool writeJsonNumber(std::ostream &os, double v);
+
+/**
+ * One CSV field (RFC 4180): quoted, with `"` doubled, when it contains
+ * `,`, `"`, `\n` or `\r`; unchanged otherwise.
+ */
+std::string csvEscapeField(const std::string &s);
+
+/**
+ * Emit a diagnostics array as JSON, one object per line:
  *   [{"severity": "error", "component": "...", "key": "...",
  *     "line": 3, "message": "..."}, ...]
  */
 void writeDiagnosticsJson(std::ostream &os, const DiagnosticList &diags,
                           int indent = 0);
+
+/** The same array on a single line (journal records, server replies). */
+std::string diagnosticsJsonLine(const DiagnosticList &diags);
 
 /** Emit diagnostics as CSV rows: severity,component,key,line,message. */
 void writeDiagnosticsCsv(std::ostream &os, const DiagnosticList &diags);

@@ -7,14 +7,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <iomanip>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
+#include "common/diagnostics.hh"
 #include "common/instrument.hh"
 #include "common/serialize.hh"
 
@@ -52,48 +50,6 @@ sink()
 }
 
 thread_local std::string t_requestId;
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    std::ostringstream os;
-    os << std::setprecision(17) << v;
-    return os.str();
-}
 
 std::int64_t
 wallMillis()
@@ -232,19 +188,19 @@ emit(Level lv, const std::string &component, const std::string &event,
     // Format outside the sink lock: only the final write serializes.
     std::ostringstream line;
     line << "{\"ts_ms\": " << wallMillis() << ", \"mono_ms\": "
-         << jsonNumber(instr::nowNanos() * 1e-6) << ", \"level\": \""
+         << jsonRoundTrip(instr::nowNanos() * 1e-6) << ", \"level\": \""
          << levelName(lv) << "\", \"component\": \""
-         << escapeJson(component) << "\", \"event\": \""
-         << escapeJson(event) << "\"";
+         << jsonEscapeString(component) << "\", \"event\": \""
+         << jsonEscapeString(event) << "\"";
     if (!t_requestId.empty())
-        line << ", \"request\": \"" << escapeJson(t_requestId) << "\"";
-    line << ", \"message\": \"" << escapeJson(message) << "\"";
+        line << ", \"request\": \"" << jsonEscapeString(t_requestId) << "\"";
+    line << ", \"message\": \"" << jsonEscapeString(message) << "\"";
     for (const Field &f : fields) {
-        line << ", \"" << escapeJson(f.key) << "\": ";
+        line << ", \"" << jsonEscapeString(f.key) << "\": ";
         if (f.isNumber)
-            line << jsonNumber(f.number);
+            line << jsonRoundTrip(f.number);
         else
-            line << "\"" << escapeJson(f.text) << "\"";
+            line << "\"" << jsonEscapeString(f.text) << "\"";
     }
 
     Sink &s = sink();

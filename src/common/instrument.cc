@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +19,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/diagnostics.hh"
 #include "common/parallel.hh"
 #include "common/serialize.hh"
 
@@ -40,53 +40,6 @@ enabledFromEnv()
         return env && std::strcmp(env, "0") != 0;
     }();
     return on;
-}
-
-/** Minimal JSON string escaping (common/ cannot use chip::jsonEscape). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * Format a double for JSON: finite values round-trip (max_digits10),
- * non-finite values become null (JSON has no NaN/Infinity literals).
- */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    std::ostringstream os;
-    os << std::setprecision(17) << v;
-    return os.str();
 }
 
 // ---------------------------------------------------------------------
@@ -507,18 +460,18 @@ writeChromeTrace(std::ostream &os)
     for (const auto &[tid, name] : threadNames) {
         os << sep() << "    {\"name\": \"thread_name\", \"ph\": "
            << "\"M\", \"pid\": 1, \"tid\": " << tid
-           << ", \"args\": {\"name\": \"" << escapeJson(name)
+           << ", \"args\": {\"name\": \"" << jsonEscapeString(name)
            << "\"}}";
     }
 
     for (const TraceEvent &ev : events) {
-        os << sep() << "    {\"name\": \"" << escapeJson(ev.name)
+        os << sep() << "    {\"name\": \"" << jsonEscapeString(ev.name)
            << "\", \"cat\": \"mcpat\", \"ph\": \"X\", \"pid\": 1, "
               "\"tid\": "
-           << ev.tid << ", \"ts\": " << jsonNumber(ev.startNs * 1e-3)
-           << ", \"dur\": " << jsonNumber(ev.durNs * 1e-3);
+           << ev.tid << ", \"ts\": " << jsonRoundTrip(ev.startNs * 1e-3)
+           << ", \"dur\": " << jsonRoundTrip(ev.durNs * 1e-3);
         if (!ev.arg.empty())
-            os << ", \"args\": {\"detail\": \"" << escapeJson(ev.arg)
+            os << ", \"args\": {\"detail\": \"" << jsonEscapeString(ev.arg)
                << "\"}";
         os << "}";
     }
@@ -526,11 +479,11 @@ writeChromeTrace(std::ostream &os)
     // Counter events render as value tracks under the spans; Chrome's
     // convention nests the series value inside "args".
     for (const CounterSample &c : counters) {
-        os << sep() << "    {\"name\": \"" << escapeJson(c.name)
+        os << sep() << "    {\"name\": \"" << jsonEscapeString(c.name)
            << "\", \"cat\": \"mcpat\", \"ph\": \"C\", \"pid\": 1, "
               "\"tid\": 0, \"ts\": "
-           << jsonNumber(c.tsNs * 1e-3) << ", \"args\": {\"value\": "
-           << jsonNumber(c.value) << "}}";
+           << jsonRoundTrip(c.tsNs * 1e-3) << ", \"args\": {\"value\": "
+           << jsonRoundTrip(c.value) << "}}";
     }
     os << (first ? "]\n}\n" : "\n  ]\n}\n");
 }
@@ -570,12 +523,12 @@ writeRunManifest(std::ostream &os, const RunInfo &info, int indent)
 
     os << pad << "{\n"
        << pad << "  \"schema\": \"mcpat-run-manifest-v1\",\n"
-       << pad << "  \"config\": \"" << escapeJson(info.configPath)
+       << pad << "  \"config\": \"" << jsonEscapeString(info.configPath)
        << "\",\n"
        << pad << "  \"config_checksum\": \""
-       << escapeJson(info.configChecksum) << "\",\n"
+       << jsonEscapeString(info.configChecksum) << "\",\n"
        << pad << "  \"threads\": " << parallel::threadCount() << ",\n"
-       << pad << "  \"wall_ms\": " << jsonNumber(info.wallSeconds * 1e3)
+       << pad << "  \"wall_ms\": " << jsonRoundTrip(info.wallSeconds * 1e3)
        << ",\n"
        << pad << "  \"valid\": " << (info.valid ? "true" : "false")
        << ",\n";
@@ -588,8 +541,8 @@ writeRunManifest(std::ostream &os, const RunInfo &info, int indent)
             s.name.rfind("span.", 0) != 0)
             continue;
         os << (first ? "\n" : ",\n") << pad << "    \""
-           << escapeJson(s.name.substr(5)) << "\": {\"total_ms\": "
-           << jsonNumber(s.value * 1e3) << ", \"count\": " << s.count
+           << jsonEscapeString(s.name.substr(5)) << "\": {\"total_ms\": "
+           << jsonRoundTrip(s.value * 1e3) << ", \"count\": " << s.count
            << "}";
         first = false;
     }
@@ -601,7 +554,7 @@ writeRunManifest(std::ostream &os, const RunInfo &info, int indent)
         if (s.kind != MetricKind::Counter)
             continue;
         os << (first ? "\n" : ",\n") << pad << "    \""
-           << escapeJson(s.name) << "\": " << s.count;
+           << jsonEscapeString(s.name) << "\": " << s.count;
         first = false;
     }
     os << (first ? "},\n" : "\n" + pad + "  },\n");
@@ -612,7 +565,7 @@ writeRunManifest(std::ostream &os, const RunInfo &info, int indent)
         if (s.kind != MetricKind::Gauge)
             continue;
         os << (first ? "\n" : ",\n") << pad << "    \""
-           << escapeJson(s.name) << "\": " << jsonNumber(s.value);
+           << jsonEscapeString(s.name) << "\": " << jsonRoundTrip(s.value);
         first = false;
     }
     os << (first ? "},\n" : "\n" + pad + "  },\n");
@@ -624,8 +577,8 @@ writeRunManifest(std::ostream &os, const RunInfo &info, int indent)
             s.name.rfind("span.", 0) == 0)
             continue;
         os << (first ? "\n" : ",\n") << pad << "    \""
-           << escapeJson(s.name) << "\": {\"total_ms\": "
-           << jsonNumber(s.value * 1e3) << ", \"count\": " << s.count
+           << jsonEscapeString(s.name) << "\": {\"total_ms\": "
+           << jsonRoundTrip(s.value * 1e3) << ", \"count\": " << s.count
            << "}";
         first = false;
     }
@@ -636,13 +589,13 @@ writeRunManifest(std::ostream &os, const RunInfo &info, int indent)
     for (const auto &[name, h] :
          Registry::instance().histogramSnapshots()) {
         os << (first ? "\n" : ",\n") << pad << "    \""
-           << escapeJson(name) << "\": {\"count\": " << h.count
-           << ", \"mean\": " << jsonNumber(h.mean())
-           << ", \"p50\": " << jsonNumber(h.quantile(0.50))
-           << ", \"p95\": " << jsonNumber(h.quantile(0.95))
-           << ", \"p99\": " << jsonNumber(h.quantile(0.99))
-           << ", \"min\": " << jsonNumber(h.min)
-           << ", \"max\": " << jsonNumber(h.max) << "}";
+           << jsonEscapeString(name) << "\": {\"count\": " << h.count
+           << ", \"mean\": " << jsonRoundTrip(h.mean())
+           << ", \"p50\": " << jsonRoundTrip(h.quantile(0.50))
+           << ", \"p95\": " << jsonRoundTrip(h.quantile(0.95))
+           << ", \"p99\": " << jsonRoundTrip(h.quantile(0.99))
+           << ", \"min\": " << jsonRoundTrip(h.min)
+           << ", \"max\": " << jsonRoundTrip(h.max) << "}";
         first = false;
     }
     os << (first ? "}\n" : "\n" + pad + "  }\n");

@@ -3,12 +3,13 @@
  * Minimal JSON document parser (RFC 8259) producing a small DOM.
  *
  * The evaluation server accepts newline-delimited JSON requests; the
- * load-test client and the tests read the server's JSON responses.
- * Both need to *read* JSON, not just validate it (json_check.hh), and
- * pulling in an external dependency for a six-kind value type is not
- * worth it.  This parser is strict — the same documents json_check
- * accepts — and keeps object keys in source order so round-trip tests
- * stay deterministic.
+ * load-test client and the tests read the server's JSON responses and
+ * check every JSON artifact the writers emit.  Pulling in an external
+ * dependency for a six-kind value type is not worth it.  This parser is
+ * strict — it rejects what hand-rolled writers most often get wrong
+ * (trailing commas, bare NaN or Infinity, unescaped control
+ * characters, truncated documents, trailing garbage) — and keeps object
+ * keys in source order so round-trip tests stay deterministic.
  */
 
 #ifndef MCPAT_COMMON_JSON_VALUE_HH

@@ -10,17 +10,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
 
 #include "chip/report_writer.hh"
 #include "common/cancel.hh"
+#include "common/diagnostics.hh"
 #include "common/event_log.hh"
 #include "common/instrument.hh"
 #include "common/journal.hh"
@@ -53,32 +52,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Quote a CSV field when it contains separators or quotes. */
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += "\"\"";
-        else
-            out += c;
-    }
-    return out + "\"";
-}
-
-/** Emit a JSON number, degrading non-finite values to null. */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (std::isfinite(v))
-        os << v;
-    else
-        os << "null";
 }
 
 /** Append @p what to the item's error field ("; "-joined). */
@@ -188,8 +161,8 @@ writeSummaryCsv(BatchResult &result, const BatchOptions &opts,
     cf << "input,name,ok,area_mm2,peak_w,runtime_w,load_ms,"
           "assemble_ms,report_ms,total_ms,error\n";
     for (const auto &item : result.items) {
-        cf << csvField(item.input) << ',' << csvField(item.name) << ','
-           << (item.ok ? 1 : 0) << ',';
+        cf << csvEscapeField(item.input) << ','
+           << csvEscapeField(item.name) << ',' << (item.ok ? 1 : 0) << ',';
         chip::writeCsvNumber(cf, item.area * 1e6);
         cf << ',';
         chip::writeCsvNumber(cf, item.peakPower);
@@ -198,7 +171,7 @@ writeSummaryCsv(BatchResult &result, const BatchOptions &opts,
         cf << ',' << 1e3 * item.loadSeconds << ','
            << 1e3 * item.assembleSeconds << ','
            << 1e3 * item.reportSeconds << ','
-           << 1e3 * item.wallSeconds << ',' << csvField(item.error)
+           << 1e3 * item.wallSeconds << ',' << csvEscapeField(item.error)
            << '\n';
     }
     cf.flush();
@@ -250,9 +223,9 @@ writeBatchManifest(BatchResult &result, const BatchOptions &opts,
            << jsonEscapeString(item.name) << "\", \"input\": \""
            << jsonEscapeString(item.input) << "\", \"ok\": "
            << (item.ok ? "true" : "false") << ", \"area_mm2\": ";
-        jsonNumber(mf, item.area * 1e6);
+        writeJsonNumber(mf, item.area * 1e6);
         mf << ", \"peak_w\": ";
-        jsonNumber(mf, item.peakPower);
+        writeJsonNumber(mf, item.peakPower);
         mf << ", \"load_ms\": " << 1e3 * item.loadSeconds
            << ", \"assemble_ms\": " << 1e3 * item.assembleSeconds
            << ", \"report_ms\": " << 1e3 * item.reportSeconds
@@ -293,24 +266,6 @@ writeTextFile(const std::string &path, const std::string &text)
 // Progress journal (schema "mcpat-batch-journal-v1")
 // ---------------------------------------------------------------------
 
-/**
- * Emit a double with max_digits10 significant digits so the value a
- * resumed run parses back is bit-identical to the one recorded — the
- * summary CSV's figures must not drift through the journal round trip.
- */
-void
-jsonFullDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    std::ostringstream tmp;
-    tmp.precision(std::numeric_limits<double>::max_digits10);
-    tmp << v;
-    os << tmp.str();
-}
-
 /** The journal's header record: what produced it, under what options. */
 std::string
 journalHeaderPayload(const std::string &listFile, const BatchOptions &opts)
@@ -325,7 +280,11 @@ journalHeaderPayload(const std::string &listFile, const BatchOptions &opts)
     return os.str();
 }
 
-/** One completed item as a single-line journal payload. */
+/**
+ * One completed item as a single-line journal payload.  Numbers use
+ * the round-trip rule, so a resumed run's summary figures are
+ * bit-identical to the ones recorded.
+ */
 std::string
 journalItemPayload(const BatchItemResult &item)
 {
@@ -334,32 +293,16 @@ journalItemPayload(const BatchItemResult &item)
        << jsonEscapeString(item.name) << "\", \"input\": \""
        << jsonEscapeString(item.input) << "\", \"ok\": "
        << (item.ok ? "true" : "false") << ", \"error\": \""
-       << jsonEscapeString(item.error) << "\", \"area\": ";
-    jsonFullDouble(os, item.area);
-    os << ", \"peak_w\": ";
-    jsonFullDouble(os, item.peakPower);
-    os << ", \"runtime_w\": ";
-    jsonFullDouble(os, item.runtimePower);
-    os << ", \"load_s\": ";
-    jsonFullDouble(os, item.loadSeconds);
-    os << ", \"assemble_s\": ";
-    jsonFullDouble(os, item.assembleSeconds);
-    os << ", \"report_s\": ";
-    jsonFullDouble(os, item.reportSeconds);
-    os << ", \"wall_s\": ";
-    jsonFullDouble(os, item.wallSeconds);
-    os << ", \"diagnostics\": [";
-    bool first = true;
-    for (const auto &d : item.diagnostics) {
-        os << (first ? "" : ", ") << "{\"severity\": \""
-           << severityName(d.severity) << "\", \"component\": \""
-           << jsonEscapeString(d.component) << "\", \"key\": \""
-           << jsonEscapeString(d.key) << "\", \"line\": " << d.line
-           << ", \"message\": \"" << jsonEscapeString(d.message)
-           << "\"}";
-        first = false;
-    }
-    os << "]}";
+       << jsonEscapeString(item.error)
+       << "\", \"area\": " << jsonRoundTrip(item.area)
+       << ", \"peak_w\": " << jsonRoundTrip(item.peakPower)
+       << ", \"runtime_w\": " << jsonRoundTrip(item.runtimePower)
+       << ", \"load_s\": " << jsonRoundTrip(item.loadSeconds)
+       << ", \"assemble_s\": " << jsonRoundTrip(item.assembleSeconds)
+       << ", \"report_s\": " << jsonRoundTrip(item.reportSeconds)
+       << ", \"wall_s\": " << jsonRoundTrip(item.wallSeconds)
+       << ", \"diagnostics\": " << diagnosticsJsonLine(item.diagnostics)
+       << "}";
     return os.str();
 }
 

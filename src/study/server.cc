@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <deque>
@@ -30,6 +29,7 @@
 #include "common/json_value.hh"
 #include "common/net.hh"
 #include "common/parallel.hh"
+#include "common/serialize.hh"
 #include "study/eval_core.hh"
 
 namespace mcpat {
@@ -37,55 +37,22 @@ namespace study {
 
 namespace {
 
-/** Emit a JSON number, degrading non-finite values to null. */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (std::isfinite(v))
-        os << v;
-    else
-        os << "null";
-}
-
-/** Compact (single-line) diagnostics array for response embedding. */
-std::string
-diagnosticsOneLine(const DiagnosticList &diags)
-{
-    std::ostringstream os;
-    os << "[";
-    const auto &items = diags.items();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const Diagnostic &d = items[i];
-        os << (i ? ", " : "") << "{\"severity\": \""
-           << severityName(d.severity) << "\", \"component\": \""
-           << jsonEscapeString(d.component) << "\", \"key\": \""
-           << jsonEscapeString(d.key) << "\", \"line\": " << d.line
-           << ", \"message\": \"" << jsonEscapeString(d.message)
-           << "\"}";
-    }
-    os << "]";
-    return os.str();
-}
-
 /** One located diagnostic as a compact array (malformed requests). */
 std::string
 requestDiagnostic(const std::string &message)
 {
     DiagnosticList diags;
     diags.add(Severity::Error, "server", "request", message);
-    return diagnosticsOneLine(diags);
+    return diagnosticsJsonLine(diags);
 }
 
-/** FNV-1a over a byte string (result-cache key material). */
-std::uint64_t
-fnv1a(const std::string &s)
+/** Milliseconds on the steady clock (inflight-age bookkeeping). */
+std::int64_t
+steadyNowMs()
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
 }
 
 /**
@@ -96,15 +63,6 @@ fnv1a(const std::string &s)
  * cannot be read — such requests bypass the cache so their error
  * diagnostics reflect the current filesystem state.
  */
-/** Milliseconds on the steady clock (inflight-age bookkeeping). */
-std::int64_t
-steadyNowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 std::string
 resultCacheKey(const EvalRequest &er)
 {
@@ -122,7 +80,11 @@ resultCacheKey(const EvalRequest &er)
         content = buf.str();
     }
     std::ostringstream key;
-    key << std::hex << fnv1a(content) << '|' << er.configPath << '|'
+    key << std::hex
+        << common::fnv1a64(
+               reinterpret_cast<const std::uint8_t *>(content.data()),
+               content.size())
+        << '|' << er.configPath << '|'
         << er.strict << er.wantReportJson << er.wantReportCsv
         << er.wantManifest;
     return key.str();
@@ -491,11 +453,11 @@ struct EvalServer::Impl
         std::ostringstream os;
         os << ", \"latency_ms\": {\"count\": " << snap.count
            << ", \"p50\": ";
-        jsonNumber(os, snap.quantile(0.50));
+        writeJsonNumber(os, snap.quantile(0.50));
         os << ", \"p95\": ";
-        jsonNumber(os, snap.quantile(0.95));
+        writeJsonNumber(os, snap.quantile(0.95));
         os << ", \"p99\": ";
-        jsonNumber(os, snap.quantile(0.99));
+        writeJsonNumber(os, snap.quantile(0.99));
         os << "}";
         return os.str();
     }
@@ -554,7 +516,7 @@ struct EvalServer::Impl
                << ", \"uptime_ms\": " << (steadyNowMs() - startMs)
                << ", \"timeouts\": " << timeouts.load()
                << ", \"eval_timeout_ms\": ";
-            jsonNumber(os, opts.evalTimeoutMs);
+            writeJsonNumber(os, opts.evalTimeoutMs);
             os << latencyBlock() << "}}\n";
             return os.str();
         }
@@ -667,20 +629,20 @@ struct EvalServer::Impl
                << "\"";
             if (result.timedOut) {
                 os << ", \"timed_out\": true, \"timeout_ms\": ";
-                jsonNumber(os, er.timeoutMs);
+                writeJsonNumber(os, er.timeoutMs);
             }
         } else {
             served.fetch_add(1, std::memory_order_relaxed);
             os << ", \"area_mm2\": ";
-            jsonNumber(os, result.area * 1e6);
+            writeJsonNumber(os, result.area * 1e6);
             os << ", \"peak_w\": ";
-            jsonNumber(os, result.peakPower);
+            writeJsonNumber(os, result.peakPower);
             os << ", \"runtime_w\": ";
-            jsonNumber(os, result.runtimePower);
+            writeJsonNumber(os, result.runtimePower);
         }
         if (!result.diagnostics.empty()) {
             os << ", \"diagnostics\": "
-               << diagnosticsOneLine(result.diagnostics);
+               << diagnosticsJsonLine(result.diagnostics);
         }
         os << ", \"timing_ms\": {\"load\": "
            << 1e3 * result.loadSeconds

@@ -100,24 +100,6 @@ bytesSuffix(double bytes)
 }
 
 /**
- * The max_digits10 round-trip representation of a double ("null" for
- * non-finite values).  Two finite doubles share a representation
- * exactly when they are equal, so *string* comparison of these is the
- * journal's value-identity test — immune to the non-finite values a
- * plain `==` on parsed numbers mishandles.
- */
-std::string
-roundTripRepr(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
-}
-
-/**
  * Does the journal header's "work" member match this run's value?
  * A journaled null (the serialization of a non-finite work) matches
  * exactly the non-finite case; anything absent or non-numeric never
@@ -125,6 +107,8 @@ roundTripRepr(double v)
  * JsonValue::getNumber() silently discarded valid journals whose work
  * was non-finite (null parses as the 0.0 default) — and, worse,
  * *falsely matched* them when the new run's work really was 0.0.
+ * Two finite doubles share a round-trip representation exactly when
+ * they are equal, so comparing those strings is the identity test.
  */
 bool
 journalWorkMatches(const common::JsonValue &hdr, double work)
@@ -136,15 +120,24 @@ journalWorkMatches(const common::JsonValue &hdr, double work)
         return !std::isfinite(work);
     if (!v->isNumber())
         return false;
-    return roundTripRepr(v->number) == roundTripRepr(work);
+    return jsonRoundTrip(v->number) == jsonRoundTrip(work);
 }
 
 } // namespace
 
 void
-writeSweepJsonNumber(std::ostream &os, double v)
+writeSweepPointFields(std::ostream &os, const DesignPointResult &r)
 {
-    os << roundTripRepr(v);
+    os << "\"key\": \"" << jsonEscapeString(r.config.key())
+       << "\", \"label\": \"" << jsonEscapeString(r.config.label())
+       << "\", \"area\": " << jsonRoundTrip(r.area)
+       << ", \"tdp\": " << jsonRoundTrip(r.tdp)
+       << ", \"mean_throughput\": " << jsonRoundTrip(r.meanThroughput)
+       << ", \"mean_power\": " << jsonRoundTrip(r.meanPower)
+       << ", \"ed\": " << jsonRoundTrip(r.meanMetrics.ed)
+       << ", \"ed2\": " << jsonRoundTrip(r.meanMetrics.ed2)
+       << ", \"eda\": " << jsonRoundTrip(r.meanMetrics.eda)
+       << ", \"ed2a\": " << jsonRoundTrip(r.meanMetrics.ed2a);
 }
 
 SweepEvalStats
@@ -390,24 +383,8 @@ std::string
 sweepItemPayload(const DesignPointResult &r)
 {
     std::ostringstream os;
-    os << "{\"type\": \"point\", \"key\": \""
-       << jsonEscapeString(r.config.key()) << "\", \"label\": \""
-       << jsonEscapeString(r.config.label()) << "\", \"area\": ";
-    writeSweepJsonNumber(os, r.area);
-    os << ", \"tdp\": ";
-    writeSweepJsonNumber(os, r.tdp);
-    os << ", \"mean_throughput\": ";
-    writeSweepJsonNumber(os, r.meanThroughput);
-    os << ", \"mean_power\": ";
-    writeSweepJsonNumber(os, r.meanPower);
-    os << ", \"ed\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.ed);
-    os << ", \"ed2\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.ed2);
-    os << ", \"eda\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.eda);
-    os << ", \"ed2a\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.ed2a);
+    os << "{\"type\": \"point\", ";
+    writeSweepPointFields(os, r);
     os << "}";
     return os.str();
 }
@@ -461,12 +438,9 @@ evaluateDesignPoints(const std::vector<CaseStudyConfig> &configs,
     if (!journal_opts.path.empty() &&
         journal.open(journal_opts.path, /*truncate=*/replay.empty())) {
         if (replay.empty()) {
-            std::ostringstream hdr;
-            hdr << "{\"schema\": \"mcpat-sweep-journal-v2\", "
-                   "\"work\": ";
-            writeSweepJsonNumber(hdr, work);
-            hdr << "}";
-            journal.append(hdr.str());
+            journal.append(
+                "{\"schema\": \"mcpat-sweep-journal-v2\", \"work\": " +
+                jsonRoundTrip(work) + "}");
         }
     }
 

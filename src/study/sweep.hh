@@ -173,10 +173,11 @@ SweepEvalStats sweepEvalStats();
 void resetSweepEvalStats();
 
 /**
- * Full-precision JSON number for sweep serialization: max_digits10,
- * null for non-finite values (the repo-wide rule).
+ * One design point's JSON members, `"key"` through `"ed2a"`, without
+ * the enclosing braces (journal records and the search document share
+ * them).  Numbers use the round-trip rule (jsonRoundTrip).
  */
-void writeSweepJsonNumber(std::ostream &os, double v);
+void writeSweepPointFields(std::ostream &os, const DesignPointResult &r);
 
 /**
  * Print one design point's per-workload rows.  A replayed

@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 
+#include "chip/report_writer.hh"
 #include "common/diagnostics.hh"
 #include "common/instrument.hh"
 #include "common/logging.hh"
@@ -306,9 +307,8 @@ writeSweepSearchJson(std::ostream &os, const SweepSpace &space,
                      const SweepSearchResult &r, double work)
 {
     const auto d = space.dims();
-    os << "{\n  \"schema\": \"mcpat-sweep-search-v1\",\n  \"work\": ";
-    writeSweepJsonNumber(os, work);
-    os << ",\n  \"node_nm\": " << space.nodeNm
+    os << "{\n  \"schema\": \"mcpat-sweep-search-v1\",\n  \"work\": "
+       << jsonRoundTrip(work) << ",\n  \"node_nm\": " << space.nodeNm
        << ",\n  \"total_cores\": " << space.totalCores
        << ",\n  \"dims\": [" << d[0] << ", " << d[1] << ", " << d[2]
        << ", " << d[3] << "]"
@@ -318,28 +318,10 @@ writeSweepSearchJson(std::ostream &os, const SweepSpace &space,
        << ",\n  \"rounds\": " << r.rounds << ",\n  \"points\": [";
     for (std::size_t i = 0; i < r.points.size(); ++i) {
         const SweepSearchPoint &p = r.points[i];
-        const DesignPointResult &res = p.result;
-        os << (i ? "," : "") << "\n    {\"index\": " << p.index
-           << ", \"key\": \"" << jsonEscapeString(res.config.key())
-           << "\", \"label\": \""
-           << jsonEscapeString(res.config.label()) << "\", \"area\": ";
-        writeSweepJsonNumber(os, res.area);
-        os << ", \"tdp\": ";
-        writeSweepJsonNumber(os, res.tdp);
-        os << ", \"mean_throughput\": ";
-        writeSweepJsonNumber(os, res.meanThroughput);
-        os << ", \"mean_power\": ";
-        writeSweepJsonNumber(os, res.meanPower);
-        os << ", \"ed\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.ed);
-        os << ", \"ed2\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.ed2);
-        os << ", \"eda\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.eda);
-        os << ", \"ed2a\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.ed2a);
+        os << (i ? "," : "") << "\n    {\"index\": " << p.index << ", ";
+        writeSweepPointFields(os, p.result);
         os << ", \"aggregates_only\": "
-           << (res.aggregatesOnly ? "true" : "false") << "}";
+           << (p.result.aggregatesOnly ? "true" : "false") << "}";
     }
     os << "\n  ],\n  \"frontier\": [";
     for (std::size_t i = 0; i < r.frontier.size(); ++i)
@@ -356,32 +338,18 @@ writeSweepSearchCsv(std::ostream &os, const SweepSpace &space,
                                          r.frontier.end());
     os << "index,label,area_m2,tdp_w,mean_throughput,mean_power,"
           "ed,ed2,eda,ed2a,in_frontier\n";
-    const auto cell = [&os](double v) {
-        // Repo-wide CSV rule: empty field for non-finite values.
-        if (std::isfinite(v)) {
-            os.precision(std::numeric_limits<double>::max_digits10);
-            os << v;
-        }
-    };
+    os.precision(std::numeric_limits<double>::max_digits10);
     for (const auto &p : r.points) {
         const DesignPointResult &res = p.result;
         os << p.index << "," << res.config.label() << ",";
-        cell(res.area);
-        os << ",";
-        cell(res.tdp);
-        os << ",";
-        cell(res.meanThroughput);
-        os << ",";
-        cell(res.meanPower);
-        os << ",";
-        cell(res.meanMetrics.ed);
-        os << ",";
-        cell(res.meanMetrics.ed2);
-        os << ",";
-        cell(res.meanMetrics.eda);
-        os << ",";
-        cell(res.meanMetrics.ed2a);
-        os << "," << (frontier.count(p.index) ? 1 : 0) << "\n";
+        for (double v : {res.area, res.tdp, res.meanThroughput,
+                         res.meanPower, res.meanMetrics.ed,
+                         res.meanMetrics.ed2, res.meanMetrics.eda,
+                         res.meanMetrics.ed2a}) {
+            chip::writeCsvNumber(os, v);
+            os << ",";
+        }
+        os << (frontier.count(p.index) ? 1 : 0) << "\n";
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include "chip/processor.hh"
 #include "chip/report_writer.hh"
+#include "common/diagnostics.hh"
 #include "uncore/shared_cache.hh"
 
 using namespace mcpat;
@@ -291,7 +292,7 @@ sampleReport()
 
 TEST(ReportWriter, JsonEscaping)
 {
-    EXPECT_EQ(chip::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(jsonEscapeString("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
 TEST(ReportWriter, JsonStructure)

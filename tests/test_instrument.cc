@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/instrument.hh"
-#include "common/json_check.hh"
+#include "common/json_value.hh"
 #include "common/parallel.hh"
 
 using namespace mcpat;
@@ -296,7 +296,8 @@ TEST(InstrumentSpan, ChromeTraceIsValidJsonWithExpectedFields)
     const std::string text = os.str();
 
     std::string error;
-    EXPECT_TRUE(common::jsonValid(text, &error)) << error;
+    common::JsonValue doc;
+    EXPECT_TRUE(common::jsonParse(text, doc, &error)) << error;
     // Chrome trace_event object form with complete events.
     EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
@@ -311,7 +312,8 @@ TEST(InstrumentSpan, EmptyTraceStillValidJson)
     std::ostringstream os;
     instr::writeChromeTrace(os);
     std::string error;
-    EXPECT_TRUE(common::jsonValid(os.str(), &error)) << error;
+    common::JsonValue doc;
+    EXPECT_TRUE(common::jsonParse(os.str(), doc, &error)) << error;
 }
 
 // ---------------------------------------------------------------------
@@ -337,7 +339,9 @@ TEST(InstrumentManifest, RoundTripValidJsonWithAllSections)
 
     const std::string text = instr::runManifestJson(info);
     std::string error;
-    ASSERT_TRUE(common::jsonValid(text, &error)) << error << "\n" << text;
+    common::JsonValue doc;
+    ASSERT_TRUE(common::jsonParse(text, doc, &error))
+        << error << "\n" << text;
 
     for (const char *key :
          {"\"schema\"", "\"mcpat-run-manifest-v1\"", "\"config\"",
@@ -357,7 +361,8 @@ TEST(InstrumentManifest, RoundTripValidJsonWithAllSections)
     EXPECT_EQ(os.str(), text);
 
     // Indented form is still valid (it is embedded mid-document).
-    EXPECT_TRUE(common::jsonValid(instr::runManifestJson(info, 4), &error))
+    EXPECT_TRUE(
+        common::jsonParse(instr::runManifestJson(info, 4), doc, &error))
         << error;
 }
 
@@ -381,7 +386,7 @@ TEST(InstrumentManifest, FileChecksumMatchesContentNotName)
 }
 
 // ---------------------------------------------------------------------
-// JSON checker.
+// Strict JSON parser (common::jsonParse).
 // ---------------------------------------------------------------------
 
 TEST(JsonCheck, AcceptsValidDocuments)
@@ -391,7 +396,9 @@ TEST(JsonCheck, AcceptsValidDocuments)
           "{\"a\": [1, 2.0, {\"b\": null}], \"c\": \"\\u00e9\\n\"}",
           "  [0]  "}) {
         std::string error;
-        EXPECT_TRUE(common::jsonValid(ok, &error)) << ok << ": " << error;
+        common::JsonValue doc;
+        EXPECT_TRUE(common::jsonParse(ok, doc, &error))
+            << ok << ": " << error;
     }
 }
 
@@ -401,7 +408,8 @@ TEST(JsonCheck, RejectsCommonWriterBugs)
          {"", "{", "[1,]", "{\"a\":1,}", "nan", "Infinity", "-",
           "01", "{\"a\"}", "\"unterminated", "[1] trailing",
           "{\"a\": 1 \"b\": 2}", "\"bad\tcontrol\""}) {
-        EXPECT_FALSE(common::jsonValid(bad)) << "accepted: " << bad;
+        common::JsonValue doc;
+        EXPECT_FALSE(common::jsonParse(bad, doc)) << "accepted: " << bad;
     }
 }
 

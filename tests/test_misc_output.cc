@@ -1,20 +1,26 @@
 /**
  * @file
  * Remaining-path tests: the human-readable report printer, the torus
- * fabric, end-to-end chips at interpolated technology nodes, and the
- * case-study work parameter.
+ * fabric, end-to-end chips at interpolated technology nodes, the
+ * case-study work parameter, and the shared JSON/CSV output rules.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "chip/processor.hh"
 #include "chip/report_printer.hh"
 #include "chip/report_writer.hh"
+#include "common/diagnostics.hh"
+#include "common/json_value.hh"
 #include "study/sweep.hh"
 #include "uncore/noc.hh"
 
@@ -206,5 +212,61 @@ TEST(NonFiniteSerialization, CsvNumberHelper)
     chip::writeCsvNumber(os, std::numeric_limits<double>::quiet_NaN());
     os << '|';
     chip::writeCsvNumber(os, std::numeric_limits<double>::infinity());
-    EXPECT_EQ(os.str(), "1.5||");
+    os << '|';
+    chip::writeCsvNumber(os, -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(os.str(), "1.5|||");
+}
+
+// ---------------------------------------------------------------------
+// Output rules (common/diagnostics.hh): the JSON escaper and the two
+// JSON number forms.
+// ---------------------------------------------------------------------
+
+TEST(OutputRules, WriterCorpusRoundTrips)
+{
+    common::JsonValue v;
+    std::string error;
+
+    // Every byte value, alone and inside text, plus multi-byte UTF-8,
+    // escapes to a string jsonParse reads back as the original bytes.
+    std::vector<std::string> strings = {
+        "", "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80"};
+    for (int b = 0; b < 256; ++b) {
+        const std::string byte(1, static_cast<char>(b));
+        strings.push_back(byte);
+        strings.push_back("a" + byte + "z");
+    }
+    for (const std::string &s : strings) {
+        const std::string doc = "\"" + jsonEscapeString(s) + "\"";
+        ASSERT_TRUE(common::jsonParse(doc, v, &error)) << error;
+        EXPECT_EQ(v.str, s) << doc;
+    }
+
+    // Round-trip numbers parse back bit-identically, including where
+    // %g switches between fixed and scientific notation.
+    for (const double d :
+         {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+          -std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX,
+          -DBL_MAX, 0.1, 1e-5, 1e-4, 9.9999999999999991e-5, 1e16, 1e17,
+          1.0 / 3.0, 123456789.125}) {
+        const std::string text = jsonRoundTrip(d);
+        ASSERT_TRUE(common::jsonParse(text, v, &error))
+            << text << ": " << error;
+        ASSERT_TRUE(v.isNumber()) << text;
+        EXPECT_EQ(std::memcmp(&v.number, &d, sizeof d), 0) << text;
+    }
+
+    // Non-finite values: JSON null from both number forms; the stream
+    // form also reports the value invalid.  (CSV: CsvNumberHelper.)
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        EXPECT_EQ(jsonRoundTrip(bad), "null");
+        std::ostringstream json;
+        EXPECT_FALSE(writeJsonNumber(json, bad));
+        EXPECT_EQ(json.str(), "null");
+    }
+    std::ostringstream finite;
+    EXPECT_TRUE(writeJsonNumber(finite, 1.5));
+    EXPECT_EQ(finite.str(), "1.5");
 }

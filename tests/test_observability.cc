@@ -24,7 +24,7 @@
 #include "common/flight_recorder.hh"
 #include "common/histogram.hh"
 #include "common/instrument.hh"
-#include "common/json_check.hh"
+#include "common/json_value.hh"
 #include "common/parallel.hh"
 
 using namespace mcpat;
@@ -291,7 +291,9 @@ TEST(HistogramRegistry, ManifestCarriesHistogramsBlock)
     info.valid = true;
     const std::string text = instr::runManifestJson(info);
     std::string error;
-    ASSERT_TRUE(common::jsonValid(text, &error)) << error << "\n" << text;
+    common::JsonValue doc;
+    ASSERT_TRUE(common::jsonParse(text, doc, &error))
+        << error << "\n" << text;
     for (const char *key :
          {"\"histograms\"", "\"t.latency_ms\"", "\"count\": 10",
           "\"mean\"", "\"p50\"", "\"p95\"", "\"p99\"", "\"min\"",
@@ -321,7 +323,8 @@ TEST(EventLog, RecordsAreStrictJsonWithExpectedShape)
     const auto lines = readLines(path);
     ASSERT_EQ(lines.size(), 1u);
     std::string error;
-    ASSERT_TRUE(common::jsonValid(lines[0], &error))
+    common::JsonValue doc;
+    ASSERT_TRUE(common::jsonParse(lines[0], doc, &error))
         << error << "\n" << lines[0];
     for (const char *key :
          {"\"ts_ms\"", "\"mono_ms\"", "\"level\": \"warn\"",
@@ -412,8 +415,9 @@ TEST(EventLog, ConcurrentEmitsNeverInterleaveLines)
     const auto lines = readLines(path);
     ASSERT_EQ(lines.size(), kEmits);
     std::string error;
+    common::JsonValue doc;
     for (const auto &line : lines)
-        ASSERT_TRUE(common::jsonValid(line, &error))
+        ASSERT_TRUE(common::jsonParse(line, doc, &error))
             << error << "\n" << line;
 }
 
@@ -469,7 +473,8 @@ TEST(FlightRecorder, WritesCsvRowsAndTraceCounters)
     instr::writeChromeTrace(os);
     const std::string trace = os.str();
     std::string error;
-    ASSERT_TRUE(common::jsonValid(trace, &error)) << error;
+    common::JsonValue doc;
+    ASSERT_TRUE(common::jsonParse(trace, doc, &error)) << error;
     EXPECT_NE(trace.find("\"ph\": \"C\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\": \"M\""), std::string::npos);
     EXPECT_NE(trace.find("\"process_name\""), std::string::npos);
@@ -499,7 +504,8 @@ TEST(TraceMetadata, ThreadNamesAppearInTrace)
     instr::writeChromeTrace(os);
     const std::string trace = os.str();
     std::string error;
-    ASSERT_TRUE(common::jsonValid(trace, &error)) << error;
+    common::JsonValue doc;
+    ASSERT_TRUE(common::jsonParse(trace, doc, &error)) << error;
     EXPECT_NE(trace.find("\"thread_name\""), std::string::npos);
     EXPECT_NE(trace.find("\"test-worker\""), std::string::npos);
 }

@@ -482,6 +482,8 @@ TEST(Diagnostics, JsonAndCsvSerializeAndEscape)
 {
     DiagnosticList diags;
     diags.add(Severity::Warning, "sys", "a\"b", "uses, commas", 3);
+    // A bare CR ends a record for RFC 4180 readers, so it is quoted too.
+    diags.add(Severity::Error, "sys", "k", "bare\rreturn", 4);
     std::ostringstream js;
     writeDiagnosticsJson(js, diags);
     EXPECT_NE(js.str().find("\"severity\": \"warning\""),
@@ -492,6 +494,7 @@ TEST(Diagnostics, JsonAndCsvSerializeAndEscape)
     EXPECT_EQ(cs.str().rfind("severity,component,key,line,message", 0),
               0u);
     EXPECT_NE(cs.str().find("\"uses, commas\""), std::string::npos);
+    EXPECT_NE(cs.str().find(",\"bare\rreturn\"\n"), std::string::npos);
 }
 
 TEST(Diagnostics, CrossFieldWarningIsAdvisoryNotFatal)
