@@ -7,7 +7,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -21,23 +20,6 @@ namespace mcpat {
 namespace array {
 
 namespace {
-
-inline void
-hashCombine(std::size_t &seed, std::size_t v)
-{
-    seed ^= v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-}
-
-inline std::size_t
-hashDouble(double d)
-{
-    // Normalize -0.0 so it hashes like 0.0 (they compare equal).
-    if (d == 0.0)
-        d = 0.0;
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return std::hash<std::uint64_t>{}(bits);
-}
 
 double
 ratioOrZero(std::uint64_t part, std::uint64_t total)
@@ -118,35 +100,6 @@ reportCacheStats(std::ostream &os)
        << " evaluation threads\n";
 }
 
-std::size_t
-ArrayCacheKeyHash::operator()(const ArrayCacheKey &k) const
-{
-    std::size_t seed = 0;
-    hashCombine(seed, hashDouble(k.sizeBytes));
-    hashCombine(seed, std::hash<int>{}(k.blockWidthBits));
-    hashCombine(seed, std::hash<int>{}(k.rows));
-    hashCombine(seed, std::hash<int>{}(k.bits));
-    hashCombine(seed, std::hash<int>{}(k.cellType));
-    hashCombine(seed, std::hash<int>{}(k.readWritePorts));
-    hashCombine(seed, std::hash<int>{}(k.readPorts));
-    hashCombine(seed, std::hash<int>{}(k.writePorts));
-    hashCombine(seed, std::hash<int>{}(k.searchPorts));
-    hashCombine(seed, std::hash<int>{}(k.banks));
-    hashCombine(seed, hashDouble(k.targetCycleTime));
-    hashCombine(seed, std::hash<int>{}(k.nodeNm));
-    hashCombine(seed, std::hash<int>{}(k.flavor));
-    hashCombine(seed, hashDouble(k.vdd));
-    hashCombine(seed, hashDouble(k.temperature));
-    hashCombine(seed, std::hash<int>{}(k.projection));
-    hashCombine(seed, hashDouble(k.wDelay));
-    hashCombine(seed, hashDouble(k.wDynamic));
-    hashCombine(seed, hashDouble(k.wLeakage));
-    hashCombine(seed, hashDouble(k.wArea));
-    hashCombine(seed, hashDouble(k.wCycle));
-    hashCombine(seed, hashDouble(k.wMaxAreaRatio));
-    return seed;
-}
-
 ArrayResultCache::ArrayResultCache()
 {
     if (const char *env = std::getenv("MCPAT_ARRAY_CACHE"))
@@ -189,61 +142,34 @@ ArrayResultCache::makeKey(const ArrayParams &params,
                           const tech::Technology &resolved_tech,
                           const OptimizationWeights &weights)
 {
-    ArrayCacheKey k;
-    k.sizeBytes = params.sizeBytes;
-    k.blockWidthBits = params.blockWidthBits;
-    k.rows = params.rows;
-    k.bits = params.bits;
-    k.cellType = static_cast<int>(params.cellType);
-    k.readWritePorts = params.readWritePorts;
-    k.readPorts = params.readPorts;
-    k.writePorts = params.writePorts;
-    k.searchPorts = params.searchPorts;
-    k.banks = params.banks;
-    k.targetCycleTime = params.targetCycleTime;
-
-    k.nodeNm = resolved_tech.nodeNm();
-    k.flavor = static_cast<int>(resolved_tech.flavor());
-    k.vdd = resolved_tech.vdd();
-    k.temperature = resolved_tech.temperature();
-    k.projection = static_cast<int>(resolved_tech.projection());
-
-    k.wDelay = weights.delay;
-    k.wDynamic = weights.dynamic;
-    k.wLeakage = weights.leakage;
-    k.wArea = weights.area;
-    k.wCycle = weights.cycle;
-    k.wMaxAreaRatio = weights.maxAreaRatio;
+    ArrayCacheKey k{params, resolved_tech.operatingPoint(), weights};
+    k.params.name.clear();
+    k.params.flavor.reset();
     return k;
 }
 
 std::optional<CachedArraySolution>
 ArrayResultCache::find(const ArrayCacheKey &key)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     if (!_enabled)
         return std::nullopt;
-    auto it = _entries.find(key);
-    if (it != _entries.end()) {
-        ++_hits;
-        return it->second;
-    }
-    ++_misses;
+    if (auto sol = _memory.find(key))
+        return sol;
 
     // Memory miss: fall through to the persistent tier.  A clean disk
     // hit is promoted into the memory tier so later lookups of the
     // same key never touch the filesystem again.
-    if (_disk) {
-        bool corrupt = false;
-        if (auto sol = _disk->load(key, corrupt)) {
-            ++_diskHits;
-            _entries.emplace(key, *sol);
-            return sol;
-        }
-        ++_diskMisses;
-        if (corrupt)
-            ++_diskCorrupt;
+    std::lock_guard<std::mutex> lock(_mutex);
+    if (!_disk)
+        return std::nullopt;
+    bool corrupt = false;
+    if (auto sol = _disk->load(key, corrupt)) {
+        ++_diskHits;
+        return _memory.insert(key, *sol);
     }
+    ++_diskMisses;
+    if (corrupt)
+        ++_diskCorrupt;
     return std::nullopt;
 }
 
@@ -251,10 +177,10 @@ void
 ArrayResultCache::insert(const ArrayCacheKey &key,
                          const CachedArraySolution &sol)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     if (!_enabled)
         return;
-    _entries.emplace(key, sol);
+    _memory.insert(key, sol);
+    std::lock_guard<std::mutex> lock(_mutex);
     if (_disk && !_disk->store(key, sol))
         ++_diskWriteFailures;
 }
@@ -262,11 +188,13 @@ ArrayResultCache::insert(const ArrayCacheKey &key,
 ArrayCacheStats
 ArrayResultCache::stats() const
 {
+    const common::KeyedMemoStats mem = _memory.stats();
     std::lock_guard<std::mutex> lock(_mutex);
     ArrayCacheStats s;
-    s.hits = _hits;
-    s.misses = _misses;
-    s.entries = _entries.size();
+    s.hits = mem.hits;
+    s.misses = mem.misses;
+    s.entries = mem.entries;
+    s.evictions = mem.evictions;
     s.diskHits = _diskHits;
     s.diskMisses = _diskMisses;
     s.diskCorrupt = _diskCorrupt;
@@ -277,10 +205,8 @@ ArrayResultCache::stats() const
 void
 ArrayResultCache::clear()
 {
+    _memory.clear();
     std::lock_guard<std::mutex> lock(_mutex);
-    _entries.clear();
-    _hits = 0;
-    _misses = 0;
     _diskHits = 0;
     _diskMisses = 0;
     _diskCorrupt = 0;

@@ -8,14 +8,16 @@
  * icache shape, a design-point sweep rebuilds the same L2 at every
  * clustering, validation targets re-solve the same register files — so
  * the solver memoizes results keyed by everything that influences the
- * outcome: the canonical ArrayParams (minus the display name), the
- * resolved technology operating point (node, flavor, Vdd, temperature,
- * wire projection), and the optimizer weights.
+ * outcome: the ArrayParams (display name and requested flavor cleared),
+ * the resolved technology operating point, and the optimizer weights.
+ * The key is those three structs, compared with their defaulted
+ * operators, so a field added to any of them joins the key by itself.
  *
- * The cache is process-global and thread-safe; hit/miss counters are
- * exported for observability.  A cached solution is bit-identical to a
- * fresh solve of the same key (the solver is deterministic), so caching
- * never changes reported numbers.  Disable with MCPAT_ARRAY_CACHE=0 or
+ * The memory tier is a common::KeyedMemo: process-global, thread-safe,
+ * and bounded at kMemoryEntries with first-in-first-out eviction.  A
+ * cached solution is bit-identical to a fresh solve of the same key
+ * (the solver is deterministic), so caching never changes reported
+ * numbers.  Disable with MCPAT_ARRAY_CACHE=0 or
  * ArrayResultCache::instance().setEnabled(false).
  *
  * A second, persistent tier (disk_cache.hh) layers underneath: on a
@@ -38,53 +40,25 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "array/array_params.hh"
+#include "common/keyed_memo.hh"
 
 namespace mcpat {
 namespace array {
 
-struct OptimizationWeights;
-
-/** Everything that determines an array solution, display name excluded. */
+/**
+ * Everything that determines an array solution.  makeKey clears the
+ * params' display name, which never changes a solution, and their
+ * requested flavor, which is resolved into the operating point.
+ */
 struct ArrayCacheKey
 {
-    // Canonical ArrayParams.
-    double sizeBytes = 0.0;
-    int blockWidthBits = 0;
-    int rows = 0;
-    int bits = 0;
-    int cellType = 0;
-    int readWritePorts = 0;
-    int readPorts = 0;
-    int writePorts = 0;
-    int searchPorts = 0;
-    int banks = 0;
-    double targetCycleTime = 0.0;
+    ArrayParams params;
+    tech::OperatingPoint op;
+    OptimizationWeights weights;
 
-    // Resolved technology operating point.
-    int nodeNm = 0;
-    int flavor = 0;
-    double vdd = 0.0;
-    double temperature = 0.0;
-    int projection = 0;
-
-    // Optimizer objective.
-    double wDelay = 0.0;
-    double wDynamic = 0.0;
-    double wLeakage = 0.0;
-    double wArea = 0.0;
-    double wCycle = 0.0;
-    double wMaxAreaRatio = 0.0;
-
-    bool operator==(const ArrayCacheKey &o) const = default;
-};
-
-/** Hash over every key field (equality still compared in full). */
-struct ArrayCacheKeyHash
-{
-    std::size_t operator()(const ArrayCacheKey &k) const;
+    auto operator<=>(const ArrayCacheKey &) const = default;
 };
 
 /** A memoized solver outcome. */
@@ -101,6 +75,7 @@ struct ArrayCacheStats
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;     ///< memory-tier misses (pre disk probe)
     std::size_t entries = 0;
+    std::uint64_t evictions = 0;  ///< entries dropped at the capacity
 
     // Persistent disk tier (all zero when no cache dir is configured).
     std::uint64_t diskHits = 0;
@@ -128,6 +103,14 @@ void reportCacheStats(std::ostream &os);
 class ArrayResultCache
 {
   public:
+    /**
+     * Memory-tier capacity, oldest entry dropped first.  The largest
+     * tier measured on the perfbench workloads, the test suite and the
+     * examples holds 1,355 entries (MODELING.md section 6b); an entry
+     * is about 330 bytes, so a full tier is about 5 MB.
+     */
+    static constexpr std::size_t kMemoryEntries = 16384;
+
     static ArrayResultCache &instance();
 
     /** Compose the canonical key for one solve. */
@@ -175,13 +158,10 @@ class ArrayResultCache
     ArrayResultCache();
     ~ArrayResultCache();  // out-of-line: ArrayDiskCache is incomplete here
 
-    mutable std::mutex _mutex;
-    std::unordered_map<ArrayCacheKey, CachedArraySolution,
-                       ArrayCacheKeyHash>
-        _entries;
+    common::KeyedMemo<ArrayCacheKey, CachedArraySolution> _memory{
+        kMemoryEntries};
+    mutable std::mutex _mutex;  ///< guards the disk tier and its counters
     std::unique_ptr<ArrayDiskCache> _disk;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
     std::uint64_t _diskHits = 0;
     std::uint64_t _diskMisses = 0;
     std::uint64_t _diskCorrupt = 0;

@@ -53,23 +53,6 @@ void setOptimizerPruning(bool on);
 OptimizerSearchStats optimizerSearchStats();
 void resetOptimizerSearchStats();
 
-/** Relative weights for the organization objective (lower is better). */
-struct OptimizationWeights
-{
-    double delay = 100.0;
-    double dynamic = 20.0;
-    double leakage = 10.0;
-    double area = 20.0;
-    double cycle = 20.0;
-
-    /**
-     * Area-deviation constraint (CACTI-style): candidates whose area
-     * exceeds this multiple of the densest feasible organization are
-     * rejected, preventing delay-driven periphery explosions.
-     */
-    double maxAreaRatio = 1.25;
-};
-
 /**
  * Per-cycle access rates used to turn per-access energies into power.
  */

@@ -83,6 +83,27 @@ struct ArrayParams
 
     /** Throw ConfigError when the description is inconsistent. */
     void validate() const;
+
+    auto operator<=>(const ArrayParams &) const = default;
+};
+
+/** Relative weights for the organization objective (lower is better). */
+struct OptimizationWeights
+{
+    double delay = 100.0;
+    double dynamic = 20.0;
+    double leakage = 10.0;
+    double area = 20.0;
+    double cycle = 20.0;
+
+    /**
+     * Area-deviation constraint (CACTI-style): candidates whose area
+     * exceeds this multiple of the densest feasible organization are
+     * rejected, preventing delay-driven periphery explosions.
+     */
+    double maxAreaRatio = 1.25;
+
+    auto operator<=>(const OptimizationWeights &) const = default;
 };
 
 /**

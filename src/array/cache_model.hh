@@ -53,6 +53,8 @@ struct CacheParams
     int sets() const;
     int tagBits() const;
     void validate() const;
+
+    auto operator<=>(const CacheParams &) const = default;
 };
 
 /** Per-cycle cache traffic for power computation. */

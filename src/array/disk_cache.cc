@@ -69,32 +69,42 @@ ArrayDiskCache::ArrayDiskCache(std::string directory)
 std::vector<std::uint8_t>
 ArrayDiskCache::serializeKey(const ArrayCacheKey &k)
 {
+    // Every field is bound by name, so a field added to any of the
+    // three key structs stops this from compiling until the record
+    // layout (and kFormatVersion) says how to store it.  The display
+    // name and the requested flavor are cleared in every key.
+    const auto &[name, sizeBytes, blockWidthBits, rows, bits, cellType,
+                 readWritePorts, readPorts, writePorts, searchPorts,
+                 banks, targetCycleTime, requestedFlavor] = k.params;
+    const auto &[nodeNm, flavor, vdd, temperature, projection] = k.op;
+    const auto &[wDelay, wDynamic, wLeakage, wArea, wCycle,
+                 wMaxAreaRatio] = k.weights;
     ByteWriter w;
     // Canonical ArrayParams.
-    w.putF64(k.sizeBytes);
-    w.putI32(k.blockWidthBits);
-    w.putI32(k.rows);
-    w.putI32(k.bits);
-    w.putI32(k.cellType);
-    w.putI32(k.readWritePorts);
-    w.putI32(k.readPorts);
-    w.putI32(k.writePorts);
-    w.putI32(k.searchPorts);
-    w.putI32(k.banks);
-    w.putF64(k.targetCycleTime);
+    w.putF64(sizeBytes);
+    w.putI32(blockWidthBits);
+    w.putI32(rows);
+    w.putI32(bits);
+    w.putI32(static_cast<int>(cellType));
+    w.putI32(readWritePorts);
+    w.putI32(readPorts);
+    w.putI32(writePorts);
+    w.putI32(searchPorts);
+    w.putI32(banks);
+    w.putF64(targetCycleTime);
     // Technology operating point.
-    w.putI32(k.nodeNm);
-    w.putI32(k.flavor);
-    w.putF64(k.vdd);
-    w.putF64(k.temperature);
-    w.putI32(k.projection);
+    w.putI32(nodeNm);
+    w.putI32(static_cast<int>(flavor));
+    w.putF64(vdd);
+    w.putF64(temperature);
+    w.putI32(static_cast<int>(projection));
     // Optimizer objective.
-    w.putF64(k.wDelay);
-    w.putF64(k.wDynamic);
-    w.putF64(k.wLeakage);
-    w.putF64(k.wArea);
-    w.putF64(k.wCycle);
-    w.putF64(k.wMaxAreaRatio);
+    w.putF64(wDelay);
+    w.putF64(wDynamic);
+    w.putF64(wLeakage);
+    w.putF64(wArea);
+    w.putF64(wCycle);
+    w.putF64(wMaxAreaRatio);
     return w.bytes();
 }
 

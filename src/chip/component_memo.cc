@@ -1,14 +1,13 @@
 /**
  * @file
- * Component memo implementation: canonical key composition per
- * component kind, plus the synchronized table.
+ * Component memo: environment switch, registry collector, and the
+ * counters summed over the per-kind tables.
  */
 
 #include "chip/component_memo.hh"
 
 #include <cstdlib>
-#include <limits>
-#include <sstream>
+#include <string>
 
 #include "common/instrument.hh"
 
@@ -16,183 +15,6 @@ namespace mcpat {
 namespace chip {
 
 namespace {
-
-/**
- * Canonical key writer: appends "field=value;" tokens.  Doubles render
- * at max_digits10 so two bundles collide exactly when their fields are
- * bit-equal (modulo -0.0/0.0, which build identical components anyway).
- */
-class KeyWriter
-{
-  public:
-    explicit KeyWriter(const char *kind)
-    {
-        _os.precision(std::numeric_limits<double>::max_digits10);
-        _os << kind << '|';
-    }
-
-    KeyWriter &operator()(const char *name, double v)
-    {
-        _os << name << '=' << v << ';';
-        return *this;
-    }
-    KeyWriter &operator()(const char *name, int v)
-    {
-        _os << name << '=' << v << ';';
-        return *this;
-    }
-    KeyWriter &operator()(const char *name, bool v)
-    {
-        _os << name << '=' << (v ? 1 : 0) << ';';
-        return *this;
-    }
-    KeyWriter &operator()(const char *name, const std::string &v)
-    {
-        // Length-prefixed so names containing ';' or '=' cannot alias
-        // a neighboring token.
-        _os << name << '=' << v.size() << ':' << v << ';';
-        return *this;
-    }
-
-    std::string str() const { return _os.str(); }
-
-  private:
-    std::ostringstream _os;
-};
-
-/** Resolved technology operating point (what array_cache keys on). */
-void
-techKey(KeyWriter &k, const tech::Technology &t)
-{
-    k("node", t.nodeNm())("flavor", static_cast<int>(t.flavor()))
-        ("vdd", t.vdd())("temp", t.temperature())
-        ("proj", static_cast<int>(t.projection()));
-}
-
-void
-cacheParamsKey(KeyWriter &k, const char *prefix,
-               const array::CacheParams &c)
-{
-    std::string p(prefix);
-    k((p + ".name").c_str(), c.name);
-    k((p + ".cap").c_str(), c.capacityBytes);
-    k((p + ".block").c_str(), c.blockBytes);
-    k((p + ".assoc").c_str(), c.assoc);
-    k((p + ".banks").c_str(), c.banks);
-    k((p + ".rw").c_str(), c.readWritePorts);
-    k((p + ".r").c_str(), c.readPorts);
-    k((p + ".w").c_str(), c.writePorts);
-    k((p + ".seq").c_str(), c.sequentialAccess);
-    k((p + ".mshrs").c_str(), c.mshrs);
-    k((p + ".wb").c_str(), c.writeBackEntries);
-    k((p + ".fill").c_str(), c.fillBufferEntries);
-    k((p + ".pa").c_str(), c.physicalAddressBits);
-    k((p + ".xtag").c_str(), c.extraTagBits);
-    k((p + ".ecc").c_str(), c.ecc);
-    k((p + ".cycle").c_str(), c.targetCycleTime);
-    k((p + ".flavor").c_str(),
-      c.flavor ? static_cast<int>(*c.flavor) : -1);
-    k((p + ".cell").c_str(), static_cast<int>(c.dataCell));
-}
-
-std::string
-coreKey(const core::CoreParams &p, const tech::Technology &t)
-{
-    KeyWriter k("core");
-    techKey(k, t);
-    k("name", p.name)("ooo", p.outOfOrder)("x86", p.x86)
-        ("threads", p.threads)("clock", p.clockRate)
-        ("stages", p.pipelineStages)("datapath", p.datapathWidth)
-        ("va", p.virtualAddressBits)("pa", p.physicalAddressBits)
-        ("fetch", p.fetchWidth)("decode", p.decodeWidth)
-        ("issue", p.issueWidth)("commit", p.commitWidth)
-        ("rob", p.robEntries)("iwin", p.intWindowEntries)
-        ("fwin", p.fpWindowEntries)("pireg", p.physIntRegs)
-        ("pfreg", p.physFpRegs)("rat", static_cast<int>(p.ratStyle))
-        ("aireg", p.archIntRegs)("afreg", p.archFpRegs)
-        ("alus", p.intAlus)("fpus", p.fpus)("muls", p.muls)
-        ("lq", p.loadQueueEntries)("sq", p.storeQueueEntries)
-        ("itlb", p.itlbEntries)("dtlb", p.dtlbEntries)
-        ("btb", p.predictor.btbEntries)
-        ("btbt", p.predictor.btbTargetBits)
-        ("bpl", p.predictor.localEntries)
-        ("bplb", p.predictor.localBits)
-        ("bpg", p.predictor.globalEntries)
-        ("bpc", p.predictor.chooserEntries)
-        ("ras", p.predictor.rasEntries)
-        ("haspred", p.hasBranchPredictor)("hasfpu", p.hasFpu)
-        ("ovh", p.areaOverhead)("margin", p.dynamicMargin)
-        ("gating", p.powerGating);
-    cacheParamsKey(k, "ic", p.icache);
-    cacheParamsKey(k, "dc", p.dcache);
-    return k.str();
-}
-
-std::string
-sharedCacheKey(const uncore::SharedCacheParams &p,
-               const tech::Technology &t)
-{
-    KeyWriter k("l2");
-    techKey(k, t);
-    k("name", p.name)("cap", p.capacityBytes)("block", p.blockBytes)
-        ("assoc", p.assoc)("banks", p.banks)("ports", p.ports)
-        ("dir", p.directorySharers)("ecc", p.ecc)
-        ("cell", static_cast<int>(p.dataCell))("clock", p.clockRate)
-        ("flavor", static_cast<int>(p.flavor))("mshrs", p.mshrs)
-        ("wb", p.writeBackEntries)("pa", p.physicalAddressBits);
-    return k.str();
-}
-
-std::string
-directoryKey(const uncore::DirectoryParams &p, const tech::Technology &t)
-{
-    KeyWriter k("dir");
-    techKey(k, t);
-    k("name", p.name)("style", static_cast<int>(p.style))
-        ("lines", p.trackedLines)("sharers", p.sharers)
-        ("pa", p.physicalAddressBits)("block", p.blockBytes)
-        ("banks", p.banks)("clock", p.clockRate)
-        ("flavor", static_cast<int>(p.flavor));
-    return k.str();
-}
-
-std::string
-nocKey(const uncore::NocParams &p, const tech::Technology &t)
-{
-    KeyWriter k("noc");
-    techKey(k, t);
-    k("name", p.name)("topo", static_cast<int>(p.topology))
-        ("nx", p.nodesX)("ny", p.nodesY)("flit", p.flitBits)
-        ("link", p.linkLength)("clock", p.clockRate)
-        ("lowswing", p.lowSwingLinks)
-        ("rports", p.router.ports)("rvc", p.router.virtualChannels)
-        ("rdepth", p.router.bufferDepth)("rflit", p.router.flitBits)
-        ("rclock", p.router.clockRate);
-    return k.str();
-}
-
-std::string
-memCtrlKey(const uncore::MemCtrlParams &p, const tech::Technology &t)
-{
-    KeyWriter k("mc");
-    techKey(k, t);
-    k("name", p.name)("channels", p.channels)("bus", p.dataBusBits)
-        ("clock", p.busClock)("dram", static_cast<int>(p.dramType))
-        ("rq", p.requestQueueEntries)("pa", p.physicalAddressBits)
-        ("bw", p.peakBandwidth);
-    return k.str();
-}
-
-std::string
-chipIoKey(const uncore::ChipIoParams &p, const tech::Technology &t)
-{
-    KeyWriter k("io");
-    techKey(k, t);
-    k("name", p.name)("pins", p.signalPins)("vio", p.ioVoltage)
-        ("pincap", p.pinCap)("toggle", p.toggleRate)
-        ("clock", p.busClock)("static", p.staticPower);
-    return k.str();
-}
 
 [[maybe_unused]] const bool g_memo_collector_registered =
     instr::Registry::instance().addCollector([](instr::Registry &reg) {
@@ -226,123 +48,27 @@ ComponentMemo::instance()
     return memo;
 }
 
-void
-ComponentMemo::setCapacity(std::size_t cap)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _capacity = cap > 0 ? cap : 1;
-}
-
-template <typename T>
-std::shared_ptr<const T>
-ComponentMemo::getOrBuild(
-    const std::string &key,
-    const std::function<std::shared_ptr<const T>()> &build)
-{
-    if (!_enabled)
-        return build();
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        const auto it = _entries.find(key);
-        if (it != _entries.end()) {
-            ++_hits;
-            return std::static_pointer_cast<const T>(it->second);
-        }
-        ++_misses;
-    }
-    // Build outside the lock: component construction is the expensive
-    // part and may itself fan out onto the thread pool.
-    std::shared_ptr<const T> built = build();
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (_entries.size() >= _capacity) {
-        _entries.clear();
-        ++_evictions;
-    }
-    const auto [it, inserted] = _entries.emplace(
-        key, std::static_pointer_cast<const void>(built));
-    if (!inserted) {
-        // A racing thread published the same key first; adopt its copy
-        // so every holder shares one instance.
-        return std::static_pointer_cast<const T>(it->second);
-    }
-    return built;
-}
-
-std::shared_ptr<const core::Core>
-ComponentMemo::core(const core::CoreParams &params,
-                    const tech::Technology &t)
-{
-    return getOrBuild<core::Core>(coreKey(params, t), [&] {
-        return std::make_shared<const core::Core>(params, t);
-    });
-}
-
-std::shared_ptr<const uncore::SharedCache>
-ComponentMemo::sharedCache(const uncore::SharedCacheParams &params,
-                           const tech::Technology &t)
-{
-    return getOrBuild<uncore::SharedCache>(
-        sharedCacheKey(params, t), [&] {
-            return std::make_shared<const uncore::SharedCache>(params, t);
-        });
-}
-
-std::shared_ptr<const uncore::Directory>
-ComponentMemo::directory(const uncore::DirectoryParams &params,
-                         const tech::Technology &t)
-{
-    return getOrBuild<uncore::Directory>(directoryKey(params, t), [&] {
-        return std::make_shared<const uncore::Directory>(params, t);
-    });
-}
-
-std::shared_ptr<const uncore::Noc>
-ComponentMemo::noc(const uncore::NocParams &params,
-                   const tech::Technology &t)
-{
-    return getOrBuild<uncore::Noc>(nocKey(params, t), [&] {
-        return std::make_shared<const uncore::Noc>(params, t);
-    });
-}
-
-std::shared_ptr<const uncore::MemoryController>
-ComponentMemo::memCtrl(const uncore::MemCtrlParams &params,
-                       const tech::Technology &t)
-{
-    return getOrBuild<uncore::MemoryController>(
-        memCtrlKey(params, t), [&] {
-            return std::make_shared<const uncore::MemoryController>(
-                params, t);
-        });
-}
-
-std::shared_ptr<const uncore::ChipIo>
-ComponentMemo::chipIo(const uncore::ChipIoParams &params,
-                      const tech::Technology &t)
-{
-    return getOrBuild<uncore::ChipIo>(chipIoKey(params, t), [&] {
-        return std::make_shared<const uncore::ChipIo>(params, t);
-    });
-}
-
 ComponentMemoStats
 ComponentMemo::stats() const
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     ComponentMemoStats s;
-    s.hits = _hits;
-    s.misses = _misses;
-    s.entries = _entries.size();
-    s.evictions = _evictions;
+    std::apply(
+        [&s](const auto &...table) {
+            for (const common::KeyedMemoStats t : {table.stats()...}) {
+                s.hits += t.hits;
+                s.misses += t.misses;
+                s.entries += t.entries;
+                s.evictions += t.evictions;
+            }
+        },
+        _tables);
     return s;
 }
 
 void
 ComponentMemo::clear()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    _entries.clear();
-    _hits = _misses = _evictions = 0;
+    std::apply([](auto &...table) { (table.clear(), ...); }, _tables);
 }
 
 } // namespace chip

@@ -9,14 +9,15 @@
  * (array/array_cache.hh) already removes the per-array cost; this layer
  * sits one level up and removes the per-*component* cost.  Fully built
  * components — cores, shared caches, directories, NoCs, memory
- * controllers, chip I/O — are cached process-wide, keyed by the
- * canonical sub-parameter bundle that determines them:
+ * controllers, chip I/O — are cached process-wide, one table per kind,
+ * keyed by the pair
  *
- *     component kind
- *   + every field of the component's params struct (display name
- *     included, so reports stay byte-identical)
- *   + the resolved technology operating point (node, flavor, Vdd,
- *     temperature, wire projection)
+ *     { resolved technology operating point, component params struct }
+ *
+ * compared with the structs' defaulted operators.  Every field takes
+ * part, nested cache/predictor/router params and the display name
+ * included (reports embed it), and a field added to a params struct
+ * joins the key without anyone listing it.
  *
  * Processor assembly (chip/processor.cc) consults the memo per
  * component, which is what makes evaluation *delta*: two sweep points
@@ -24,10 +25,8 @@
  * and the second point pays only for the components whose key changed.
  * This is dirty tracking by construction — a component is "dirty"
  * exactly when its key differs from every cached entry, so invalidation
- * can never be forgotten; the price is that a params-struct field that
- * is not folded into the key here would alias.  **When adding a field
- * to any params struct below, extend the matching key function in
- * component_memo.cc** (MODELING.md section 6g records this rule).
+ * can never be forgotten.  A key holding a NaN is not equal to itself:
+ * such a component is built and returned but never stored.
  *
  * Cached components are immutable after construction (makeReport and
  * friends are const), self-contained (Core and ArrayModel copy their
@@ -36,21 +35,22 @@
  * and across threads — never changes reported numbers.  A memoized
  * assembly is bit-identical to a fresh one.
  *
- * The memo is enabled by default; disable with MCPAT_COMPONENT_MEMO=0
- * or setEnabled(false).  Hit/miss/entry counters are exported into the
- * instrumentation registry ("component_memo.*") via a collector.
+ * Each kind keeps at most kEntriesPerKind entries and drops its oldest
+ * first.  The memo is enabled by default; disable with
+ * MCPAT_COMPONENT_MEMO=0 or setEnabled(false).  Hit/miss/entry/eviction
+ * counters are exported into the instrumentation registry
+ * ("component_memo.*") via a collector.
  */
 
 #ifndef MCPAT_CHIP_COMPONENT_MEMO_HH
 #define MCPAT_CHIP_COMPONENT_MEMO_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
+#include <tuple>
+#include <utility>
 
+#include "common/keyed_memo.hh"
 #include "core/core.hh"
 #include "uncore/chip_io.hh"
 #include "uncore/directory.hh"
@@ -67,7 +67,7 @@ struct ComponentMemoStats
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::size_t entries = 0;
-    /** Whole-table drops after exceeding the entry cap. */
+    /** Entries dropped to stay within the per-kind cap. */
     std::uint64_t evictions = 0;
 };
 
@@ -82,35 +82,34 @@ struct ComponentMemoStats
 class ComponentMemo
 {
   public:
+    /** Entries kept per component kind. */
+    static constexpr std::size_t kEntriesPerKind = 1024;
+
     static ComponentMemo &instance();
 
     bool enabled() const { return _enabled; }
     void setEnabled(bool on) { _enabled = on; }
 
-    /** Entry cap; exceeding it drops the whole table (bounded memory
-     *  beats LRU bookkeeping for sweep-shaped reuse). */
-    void setCapacity(std::size_t cap);
-
-    std::shared_ptr<const core::Core>
-    core(const core::CoreParams &params, const tech::Technology &t);
-
-    std::shared_ptr<const uncore::SharedCache>
-    sharedCache(const uncore::SharedCacheParams &params,
-                const tech::Technology &t);
-
-    std::shared_ptr<const uncore::Directory>
-    directory(const uncore::DirectoryParams &params,
-              const tech::Technology &t);
-
-    std::shared_ptr<const uncore::Noc>
-    noc(const uncore::NocParams &params, const tech::Technology &t);
-
-    std::shared_ptr<const uncore::MemoryController>
-    memCtrl(const uncore::MemCtrlParams &params,
-            const tech::Technology &t);
-
-    std::shared_ptr<const uncore::ChipIo>
-    chipIo(const uncore::ChipIoParams &params, const tech::Technology &t);
+    /**
+     * The component of kind T built from @p params at @p t's operating
+     * point: the cached one when an equal key was built before,
+     * otherwise a fresh build (e.g. get<core::Core>(core_params, t)).
+     */
+    template <typename T, typename P>
+    std::shared_ptr<const T>
+    get(const P &params, const tech::Technology &t)
+    {
+        if (!_enabled)
+            return std::make_shared<const T>(params, t);
+        auto &table = std::get<Table<T, P>>(_tables);
+        const std::pair<tech::OperatingPoint, P> key{t.operatingPoint(),
+                                                     params};
+        if (auto hit = table.find(key))
+            return *hit;
+        // Build outside the lock: component construction is the
+        // expensive part and may itself fan out onto the thread pool.
+        return table.insert(key, std::make_shared<const T>(params, t));
+    }
 
     ComponentMemoStats stats() const;
 
@@ -120,18 +119,21 @@ class ComponentMemo
   private:
     ComponentMemo();
 
-    /** Type-erased get-or-build; Build returns shared_ptr<const T>. */
-    template <typename T>
-    std::shared_ptr<const T>
-    getOrBuild(const std::string &key,
-               const std::function<std::shared_ptr<const T>()> &build);
+    template <typename T, typename P>
+    struct Table
+        : common::KeyedMemo<std::pair<tech::OperatingPoint, P>,
+                            std::shared_ptr<const T>>
+    {
+        Table() : Table::KeyedMemo(kEntriesPerKind) {}
+    };
 
-    mutable std::mutex _mutex;
-    std::unordered_map<std::string, std::shared_ptr<const void>> _entries;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
-    std::uint64_t _evictions = 0;
-    std::size_t _capacity = 1024;
+    std::tuple<Table<core::Core, core::CoreParams>,
+               Table<uncore::SharedCache, uncore::SharedCacheParams>,
+               Table<uncore::Directory, uncore::DirectoryParams>,
+               Table<uncore::Noc, uncore::NocParams>,
+               Table<uncore::MemoryController, uncore::MemCtrlParams>,
+               Table<uncore::ChipIo, uncore::ChipIoParams>>
+        _tables;
     bool _enabled = true;
 };
 

@@ -62,37 +62,39 @@ Processor::Processor(SystemParams params)
     for (std::size_t g = 0; g < groups.size(); ++g) {
         build.push_back([this, g, &groups, &memo] {
             MCPAT_SPAN("build.core", groups[g].core.name);
-            _cores[g] = memo.core(groups[g].core, *_tech);
+            _cores[g] = memo.get<core::Core>(groups[g].core, *_tech);
         });
     }
     if (_params.numL2 > 0) {
         build.push_back([this, &memo] {
             MCPAT_SPAN("build.l2");
-            _l2 = memo.sharedCache(_params.l2, *_tech);
+            _l2 = memo.get<uncore::SharedCache>(_params.l2, *_tech);
         });
     }
     if (_params.numL3 > 0) {
         build.push_back([this, &memo] {
             MCPAT_SPAN("build.l3");
-            _l3 = memo.sharedCache(_params.l3, *_tech);
+            _l3 = memo.get<uncore::SharedCache>(_params.l3, *_tech);
         });
     }
     if (_params.hasDirectory) {
         build.push_back([this, &memo] {
             MCPAT_SPAN("build.directory");
-            _directory = memo.directory(_params.directory, *_tech);
+            _directory = memo.get<uncore::Directory>(_params.directory,
+                                                     *_tech);
         });
     }
     if (_params.hasMemCtrl) {
         build.push_back([this, &memo] {
             MCPAT_SPAN("build.memctrl");
-            _memCtrl = memo.memCtrl(_params.memCtrl, *_tech);
+            _memCtrl = memo.get<uncore::MemoryController>(
+                _params.memCtrl, *_tech);
         });
     }
     if (_params.hasIo) {
         build.push_back([this, &memo] {
             MCPAT_SPAN("build.io");
-            _io = memo.chipIo(_params.io, *_tech);
+            _io = memo.get<uncore::ChipIo>(_params.io, *_tech);
         });
     }
     parallel::parallelFor(build.size(),
@@ -113,7 +115,7 @@ Processor::Processor(SystemParams params)
             tile_area /= std::max(1, noc.nodes());
             noc.linkLength = std::sqrt(std::max(tile_area, 0.01 * mm2));
         }
-        _noc = memo.noc(noc, *_tech);
+        _noc = memo.get<uncore::Noc>(noc, *_tech);
     }
 
     MCPAT_SPAN("tdp");

@@ -30,6 +30,8 @@ struct PredictorParams
     int globalEntries = 4096;     ///< global 2-bit counter table
     int chooserEntries = 4096;    ///< tournament chooser table
     int rasEntries = 16;          ///< return-address stack per thread
+
+    auto operator<=>(const PredictorParams &) const = default;
 };
 
 /** Architectural description of one core. */
@@ -109,6 +111,8 @@ struct CoreParams
     int fpTagBits() const;
 
     void validate() const;
+
+    auto operator<=>(const CoreParams &) const = default;
 };
 
 } // namespace core

@@ -18,7 +18,6 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "array/array_cache.hh"
@@ -27,6 +26,7 @@
 #include "common/event_log.hh"
 #include "common/instrument.hh"
 #include "common/json_value.hh"
+#include "common/keyed_memo.hh"
 #include "common/net.hh"
 #include "common/parallel.hh"
 #include "common/serialize.hh"
@@ -161,44 +161,11 @@ struct EvalServer::Impl
     }
 
     // Warmest tier: identical request -> previously rendered result.
-    // Shared across all connections; FIFO eviction keeps it bounded.
-    std::mutex cacheMutex;
-    std::unordered_map<std::string, std::shared_ptr<const EvalResult>>
-        resultCache;
-    std::deque<std::string> cacheOrder;
-
-    std::shared_ptr<const EvalResult>
-    cacheLookup(const std::string &key)
-    {
-        if (key.empty() || !opts.maxCachedResults)
-            return nullptr;
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        const auto it = resultCache.find(key);
-        return it == resultCache.end() ? nullptr : it->second;
-    }
-
-    std::size_t
-    cacheSize()
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        return resultCache.size();
-    }
-
-    void
-    cacheStore(const std::string &key,
-               std::shared_ptr<const EvalResult> result)
-    {
-        if (key.empty() || !opts.maxCachedResults)
-            return;
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        if (!resultCache.emplace(key, std::move(result)).second)
-            return;  // another worker raced us to it
-        cacheOrder.push_back(key);
-        while (resultCache.size() > opts.maxCachedResults) {
-            resultCache.erase(cacheOrder.front());
-            cacheOrder.pop_front();
-        }
-    }
+    // Shared across all connections; created by start() with
+    // opts.maxCachedResults as its capacity.
+    using ResultCache =
+        common::KeyedMemo<std::string, std::shared_ptr<const EvalResult>>;
+    std::unique_ptr<ResultCache> resultCache;
 
     void
     logLine(const std::string &line)
@@ -489,7 +456,8 @@ struct EvalServer::Impl
                << ", \"queue_depth\": " << depth
                << ", \"workers\": " << workers.size()
                << ", \"result_cache_hits\": " << resultHits.load()
-               << ", \"result_cache_size\": " << cacheSize()
+               << ", \"result_cache_size\": "
+               << resultCache->stats().entries
                << ", \"cache_memory_hits\": " << cache.hits
                << ", \"cache_memory_misses\": " << cache.misses
                << ", \"cache_disk_hits\": " << cache.diskHits
@@ -591,7 +559,9 @@ struct EvalServer::Impl
         }
 
         const std::string key = resultCacheKey(er);
-        std::shared_ptr<const EvalResult> entry = cacheLookup(key);
+        std::shared_ptr<const EvalResult> entry;
+        if (!key.empty())
+            entry = resultCache->find(key).value_or(nullptr);
         const bool hit = entry != nullptr;
         if (hit) {
             resultHits.fetch_add(1, std::memory_order_relaxed);
@@ -600,8 +570,8 @@ struct EvalServer::Impl
             // Only successes are worth keeping: failures are cheap to
             // reproduce and their diagnostics may reflect transient
             // filesystem state.
-            if (entry->ok)
-                cacheStore(key, entry);
+            if (entry->ok && !key.empty())
+                resultCache->insert(key, entry);
         }
         const EvalResult &result = *entry;
 
@@ -738,6 +708,8 @@ EvalServer::start(const ServerOptions &opts, std::ostream &log,
     Impl &im = *_impl;
     im.opts = opts;
     im.log = &log;
+    im.resultCache =
+        std::make_unique<Impl::ResultCache>(opts.maxCachedResults);
     const net::Endpoint ep = net::parseEndpoint(opts.endpoint);
     if (!im.listener.listen(ep, error))
         return false;

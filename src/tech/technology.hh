@@ -23,6 +23,7 @@
 #define MCPAT_TECH_TECHNOLOGY_HH
 
 #include <array>
+#include <compare>
 #include <vector>
 
 #include "common/logging.hh"
@@ -101,6 +102,22 @@ struct TechNode
 };
 
 /**
+ * The resolved operating point a built model depends on.  Cache keys
+ * carry it whole, so two technologies share cached results exactly
+ * when these five fields compare equal.
+ */
+struct OperatingPoint
+{
+    int nodeNm = 0;
+    DeviceFlavor flavor = DeviceFlavor::HP;
+    double vdd = 0.0;
+    double temperature = 0.0;
+    WireProjection projection = WireProjection::Aggressive;
+
+    auto operator<=>(const OperatingPoint &) const = default;
+};
+
+/**
  * Handle to a fully resolved technology operating point:
  * node + flavor + supply voltage + junction temperature + wire projection.
  *
@@ -174,6 +191,12 @@ class Technology
 
     WireProjection projection() const { return _projection; }
     void setProjection(WireProjection p) { _projection = p; }
+
+    OperatingPoint
+    operatingPoint() const
+    {
+        return {nodeNm(), _flavor, _vdd, _temperature, _projection};
+    }
 
     /** Wire parameters for a layer under the active projection. */
     const WireParams &

@@ -26,6 +26,8 @@ struct ChipIoParams
     double toggleRate = 0.15;     ///< events per bus clock per pin
     double busClock = 400.0 * MHz;
     double staticPower = 0.5;     ///< bias/termination, W
+
+    auto operator<=>(const ChipIoParams &) const = default;
 };
 
 /**

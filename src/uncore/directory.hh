@@ -43,6 +43,8 @@ struct DirectoryParams
     int banks = 4;
     double clockRate = 1.0e9;
     tech::DeviceFlavor flavor = tech::DeviceFlavor::HP;
+
+    auto operator<=>(const DirectoryParams &) const = default;
 };
 
 /** Per-cycle directory traffic. */

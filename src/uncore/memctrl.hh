@@ -35,6 +35,8 @@ struct MemCtrlParams
 
     /** Peak bandwidth per channel, B/s (derived if 0). */
     double peakBandwidth = 0.0;
+
+    auto operator<=>(const MemCtrlParams &) const = default;
 };
 
 /**

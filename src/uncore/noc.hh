@@ -40,6 +40,8 @@ struct NocParams
     RouterParams router;  ///< ports auto-set from the topology
 
     int nodes() const { return nodesX * nodesY; }
+
+    auto operator<=>(const NocParams &) const = default;
 };
 
 /**

@@ -26,6 +26,8 @@ struct RouterParams
     int bufferDepth = 4;      ///< flits per VC
     int flitBits = 128;
     double clockRate = 1.0 * GHz;
+
+    auto operator<=>(const RouterParams &) const = default;
 };
 
 /**

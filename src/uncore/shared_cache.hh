@@ -42,6 +42,8 @@ struct SharedCacheParams
     int mshrs = 16;
     int writeBackEntries = 16;
     int physicalAddressBits = 42;
+
+    auto operator<=>(const SharedCacheParams &) const = default;
 };
 
 /**

@@ -243,6 +243,39 @@ TEST(DiskCache, RecordRoundTripPreservesEveryField)
     fs::remove_all(dir);
 }
 
+TEST(DiskCache, RecordNameAndBytesArePinned)
+{
+    // A cache directory written by an earlier build must keep
+    // serving, so the record name and every record byte for this key
+    // stay exactly these until kFormatVersion changes.
+    const fs::path dir = scratchDir("pinned");
+    array::ArrayDiskCache disk(dir.string());
+    const auto key = sampleKey();
+    ASSERT_TRUE(disk.store(key, sampleSolution()));
+    EXPECT_EQ(fs::path(disk.recordPath(key)).filename().string(),
+              "231eee4670fdc73c.arr");
+
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(common::readFileBytes(disk.recordPath(key), bytes));
+    std::string hex;
+    for (std::uint8_t b : bytes) {
+        hex += "0123456789abcdef"[b >> 4];
+        hex += "0123456789abcdef"[b & 0xf];
+    }
+    EXPECT_EQ(hex,
+              "4d4350410100000080000000000000000000e04080000000000000"
+              "000000000000000000010000000000000000000000000000000200"
+              "000000000000000000002d00000000000000000000000000f03f00"
+              "000000008076400000000000000000000059400000000000003440"
+              "000000000000244000000000000034400000000000003440000000"
+              "000000f43f0400000002000000000000000000e03f8dedb5a0f7c6"
+              "803e03c69cde430df83dbbbdd7d9df7cfb3d11ea2d819997813d95"
+              "6479e17ffd853d0000000000000000fca9f1d24d62503f2d431ceb"
+              "e2362a3f000000000000000092cb7f48bf7d3d3ffca9f1d24d6230"
+              "3f001a948b8f186801c2");
+    fs::remove_all(dir);
+}
+
 TEST(DiskCache, MissingRecordIsAMissNotCorrupt)
 {
     const fs::path dir = scratchDir("missing");
@@ -451,4 +484,36 @@ TEST(DiskCache, TwoTierPromotionAcrossMemoryClears)
     EXPECT_EQ(cold.result().org.nspd, warm.result().org.nspd);
     EXPECT_EQ(warm.area(), memo.area());
     EXPECT_EQ(warm.meetsTiming(), memo.meetsTiming());
+}
+
+TEST(ArrayCache, MemoryTierEvictsOldestAtItsCapacity)
+{
+    auto &cache = array::ArrayResultCache::instance();
+    const bool was_enabled = cache.enabled();
+    const std::string was_dir = cache.cacheDir();
+    cache.setEnabled(true);
+    cache.setCacheDir("");
+    cache.clear();
+
+    const tech::Technology t(45);
+    constexpr std::size_t cap = array::ArrayResultCache::kMemoryEntries;
+    constexpr std::size_t extra = 3;
+    auto key = [&](std::size_t i) {
+        array::ArrayParams p;
+        p.sizeBytes = 1024.0 * static_cast<double>(i + 1);
+        p.blockWidthBits = 64;
+        return array::ArrayResultCache::makeKey(p, t, {});
+    };
+    for (std::size_t i = 0; i < cap + extra; ++i)
+        cache.insert(key(i), sampleSolution());
+
+    const auto filled = cache.stats();
+    EXPECT_EQ(filled.entries, cap);
+    EXPECT_EQ(filled.evictions, extra);
+    EXPECT_FALSE(cache.find(key(0)).has_value());
+    EXPECT_TRUE(cache.find(key(cap + extra - 1)).has_value());
+
+    cache.clear();
+    cache.setCacheDir(was_dir);
+    cache.setEnabled(was_enabled);
 }

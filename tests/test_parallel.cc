@@ -1,22 +1,28 @@
 /**
  * @file
  * Parallel evaluation engine tests: parallelFor semantics, serial vs
- * parallel bit-identical chip reports, array-cache memoization, the
- * mesh-shape fallback for prime cluster counts, and the eDRAM
- * restore-energy clamp.
+ * parallel bit-identical chip reports, the execution-variant
+ * equivalence matrix (memo x array tier x threads), array-cache
+ * memoization, the mesh-shape fallback for prime cluster counts, and
+ * the eDRAM restore-energy clamp.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <fstream>
+#include <map>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "array/array_cache.hh"
 #include "array/array_model.hh"
+#include "chip/component_memo.hh"
 #include "chip/processor.hh"
 #include "common/parallel.hh"
 #include "config/xml_loader.hh"
+#include "study/eval_core.hh"
 #include "study/sweep.hh"
 
 using namespace mcpat;
@@ -42,12 +48,15 @@ struct ThreadCountGuard
     ~ThreadCountGuard() { parallel::setThreadCount(0); }
 };
 
-/** RAII guard: force the array cache on/off, restore + clear after. */
+/** RAII guard: force the array cache on/off, restore + clear after.
+ *  The component memo is cleared too, so a chip an earlier test built
+ *  cannot skip its array lookups. */
 struct CacheGuard
 {
     explicit CacheGuard(bool on)
         : previous(array::ArrayResultCache::instance().enabled())
     {
+        chip::ComponentMemo::instance().clear();
         array::ArrayResultCache::instance().clear();
         array::ArrayResultCache::instance().setEnabled(on);
     }
@@ -305,3 +314,99 @@ TEST(EdramRestore, ReadEnergyNeverNegativeAcrossSweep)
         EXPECT_GT(m.result().refreshPower, 0.0) << kb << " KB";
     }
 }
+
+namespace {
+
+/** A shipped config's JSON and CSV reports, as the CLI writes them. */
+struct RenderedReports
+{
+    std::string json;
+    std::string csv;
+};
+
+RenderedReports
+renderConfig(const std::string &config)
+{
+    study::EvalRequest req;
+    req.configPath = findConfig(config + ".xml");
+    req.wantReportCsv = true;
+    const study::EvalResult r = study::evaluate(req);
+    EXPECT_TRUE(r.ok) << config << ": " << r.error;
+    return {r.reportJson, r.reportCsv};
+}
+
+/** RAII guard: pin memo, array tier and thread count over cleared
+ *  caches; restore the previous switches and clear again after. */
+struct VariantGuard
+{
+    VariantGuard(bool memo_on, bool tier_on, int threads)
+        : memoWas(chip::ComponentMemo::instance().enabled()),
+          tierWas(array::ArrayResultCache::instance().enabled())
+    {
+        chip::ComponentMemo::instance().clear();
+        chip::ComponentMemo::instance().setEnabled(memo_on);
+        array::ArrayResultCache::instance().clear();
+        array::ArrayResultCache::instance().setEnabled(tier_on);
+        parallel::setThreadCount(threads);
+    }
+    ~VariantGuard()
+    {
+        parallel::setThreadCount(0);
+        chip::ComponentMemo::instance().setEnabled(memoWas);
+        chip::ComponentMemo::instance().clear();
+        array::ArrayResultCache::instance().setEnabled(tierWas);
+        array::ArrayResultCache::instance().clear();
+    }
+    bool memoWas;
+    bool tierWas;
+};
+
+/** The memo-off, tier-off, 1-thread reports every cell must equal. */
+const RenderedReports &
+referenceReports(const std::string &config)
+{
+    static std::map<std::string, RenderedReports> refs;
+    auto it = refs.find(config);
+    if (it == refs.end()) {
+        const VariantGuard plain(false, false, 1);
+        it = refs.emplace(config, renderConfig(config)).first;
+    }
+    return it->second;
+}
+
+/** (config stem, component memo on, array memory tier on, threads) */
+using Variant = std::tuple<std::string, bool, bool, int>;
+
+class ExecutionVariants : public ::testing::TestWithParam<Variant>
+{
+};
+
+} // namespace
+
+TEST_P(ExecutionVariants, ReportsMatchSerialUncachedBuild)
+{
+    const auto &[config, memo_on, tier_on, threads] = GetParam();
+    const RenderedReports &ref = referenceReports(config);
+    const VariantGuard variant(memo_on, tier_on, threads);
+    // A build from cleared caches, then a rebuild that the enabled
+    // caches serve: both must render the reference bytes.
+    for (const char *pass : {"cold", "warm"}) {
+        const RenderedReports got = renderConfig(config);
+        EXPECT_EQ(got.json, ref.json) << pass;
+        EXPECT_EQ(got.csv, ref.csv) << pass;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EquivalenceMatrix, ExecutionVariants,
+    ::testing::Combine(
+        ::testing::Values("alpha21364", "manycore_22nm", "niagara",
+                          "niagara2", "niagara_runtime", "xeon_tulsa"),
+        ::testing::Bool(), ::testing::Bool(), ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<Variant> &info) {
+        const Variant &v = info.param;
+        return std::get<0>(v) +
+               (std::get<1>(v) ? "_memo_on" : "_memo_off") +
+               (std::get<2>(v) ? "_tier_on_" : "_tier_off_") +
+               std::to_string(std::get<3>(v)) + "t";
+    });

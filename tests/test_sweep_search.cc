@@ -229,6 +229,94 @@ TEST(ComponentMemo, SharesComponentsAcrossProcessorsBitIdentically)
     EXPECT_EQ(with_memo.str(), without_memo.str());
 }
 
+namespace {
+
+/** RAII guard: an enabled, cleared memo; previous switch restored. */
+struct EnabledMemo
+{
+    EnabledMemo() : was(chip::ComponentMemo::instance().enabled())
+    {
+        chip::ComponentMemo::instance().setEnabled(true);
+        chip::ComponentMemo::instance().clear();
+    }
+    ~EnabledMemo()
+    {
+        chip::ComponentMemo::instance().clear();
+        chip::ComponentMemo::instance().setEnabled(was);
+    }
+    bool was;
+};
+
+/** Whether one get<T>() was served from the memo. */
+template <typename T, typename P>
+bool
+servedFromMemo(const P &params, const tech::Technology &t)
+{
+    chip::ComponentMemo &memo = chip::ComponentMemo::instance();
+    const auto before = memo.stats();
+    memo.get<T>(params, t);
+    return memo.stats().hits == before.hits + 1;
+}
+
+/** Identical params hit; a changed display name misses. */
+template <typename T, typename P>
+void
+expectKeyedOnParams(P params, const tech::Technology &t)
+{
+    EXPECT_FALSE(servedFromMemo<T>(params, t));
+    EXPECT_TRUE(servedFromMemo<T>(params, t));
+    params.name += " renamed";
+    EXPECT_FALSE(servedFromMemo<T>(params, t));
+    EXPECT_TRUE(servedFromMemo<T>(params, t));
+}
+
+} // namespace
+
+TEST(ComponentMemo, EveryKindHitsOnEqualParamsAndMissesOnAnyChange)
+{
+    const EnabledMemo memo;
+    const tech::Technology t(45);
+    expectKeyedOnParams<core::Core>(core::CoreParams{}, t);
+    expectKeyedOnParams<uncore::SharedCache>(uncore::SharedCacheParams{},
+                                             t);
+    expectKeyedOnParams<uncore::Directory>(uncore::DirectoryParams{}, t);
+    expectKeyedOnParams<uncore::Noc>(uncore::NocParams{}, t);
+    expectKeyedOnParams<uncore::MemoryController>(
+        uncore::MemCtrlParams{}, t);
+    expectKeyedOnParams<uncore::ChipIo>(uncore::ChipIoParams{}, t);
+
+    // Nested fields are part of the key.
+    core::CoreParams core;
+    core.icache.assoc *= 2;
+    EXPECT_FALSE(servedFromMemo<core::Core>(core, t));
+    core = core::CoreParams{};
+    core.predictor.rasEntries *= 2;
+    EXPECT_FALSE(servedFromMemo<core::Core>(core, t));
+    uncore::NocParams noc;
+    noc.router.bufferDepth *= 2;
+    EXPECT_FALSE(servedFromMemo<uncore::Noc>(noc, t));
+
+    // So is the operating point.
+    tech::Technology hot(45);
+    hot.setTemperature(t.temperature() + 10.0);
+    EXPECT_FALSE(servedFromMemo<core::Core>(core::CoreParams{}, hot));
+}
+
+TEST(ComponentMemo, NanKeyIsBuiltButNeverStored)
+{
+    const EnabledMemo guard;
+    chip::ComponentMemo &memo = chip::ComponentMemo::instance();
+    const tech::Technology t(45);
+    core::CoreParams p;
+    p.areaOverhead = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NE(memo.get<core::Core>(p, t), nullptr);
+    EXPECT_NE(memo.get<core::Core>(p, t), nullptr);
+    const auto s = memo.stats();
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.entries, 0u);
+}
+
 TEST(SweepDiagnostics, DegenerateWorkYieldsLocatedDiagnostics)
 {
     // A non-finite work value poisons every per-workload delay; the
