@@ -541,8 +541,9 @@ main(int argc, char **argv)
                                   /*write_metrics=*/false);
             return 0;
         } catch (const mcpat::cancel::Cancelled &e) {
-            // The journal holds every finished point; rerunning with
-            // -resume replays them and continues the search.
+            // The sweep committed every finished point to the journal
+            // before the cancel reached here; rerunning with -resume
+            // replays them and continues the search.
             std::cerr << "mcpat: " << e.what()
                       << " (resume with -resume)\n";
             return e.kind() == mcpat::cancel::Kind::Timeout ? 124 : 130;

@@ -1,6 +1,8 @@
 /**
  * @file
- * Append-only checksummed journal implementation.
+ * Append-only checksummed journal implementation: each commit frames
+ * its records into one buffer, writes it with one write(2) and
+ * fsyncs once.
  */
 
 #include "common/journal.hh"
@@ -68,37 +70,69 @@ JournalWriter::open(const std::string &path, bool truncate,
 }
 
 bool
-JournalWriter::append(const std::string &payload)
+JournalWriter::openAfter(const std::string &path,
+                         const JournalContents &read, std::string *error)
+{
+    if (!open(path, /*truncate=*/false, error))
+        return false;
+    if (!read.tailCorrupt && !read.lastRecordUnterminated)
+        return true;
+    // Records appended after a torn line would be unreadable: cut the
+    // tail and end the last intact line before anything is appended.
+    const bool repaired =
+        ::ftruncate(_fd, static_cast<off_t>(read.intactBytes)) == 0 &&
+        (!read.lastRecordUnterminated || writeFully(_fd, "\n", 1)) &&
+        ::fsync(_fd) == 0;
+    if (!repaired) {
+        if (error)
+            *error = "cannot repair journal '" + path +
+                     "': " + std::strerror(errno);
+        close();
+        return false;
+    }
+    return true;
+}
+
+bool
+JournalWriter::append(std::span<const std::string> payloads)
 {
     if (_fd < 0)
         return false;
-    if (payload.find('\n') != std::string::npos ||
-        payload.find('\r') != std::string::npos)
-        return false;  // records are line-framed; refuse to corrupt
+    if (payloads.empty())
+        return true;
+    // Records are line-framed: refuse the whole batch before writing
+    // any of it, so a bad payload never leaves a partial commit.
+    std::size_t size = 0;
+    for (const std::string &p : payloads) {
+        if (p.find_first_of("\n\r") != std::string::npos)
+            return false;
+        size += kPrefixLen + kChecksumLen + 2 + p.size();
+    }
 
-    std::string line;
-    line.reserve(kPrefixLen + kChecksumLen + 2 + payload.size());
-    line += kRecordPrefix;
-    line += toHex64(fnv1a64(
-        reinterpret_cast<const std::uint8_t *>(payload.data()),
-        payload.size()));
-    line += ' ';
-    line += payload;
-    line += '\n';
+    std::string buf;
+    buf.reserve(size);
+    for (const std::string &p : payloads) {
+        buf += kRecordPrefix;
+        buf += toHex64(fnv1a64(
+            reinterpret_cast<const std::uint8_t *>(p.data()), p.size()));
+        buf += ' ';
+        buf += p;
+        buf += '\n';
+    }
 
-    if (!writeFully(_fd, line.data(), line.size()))
+    if (!writeFully(_fd, buf.data(), buf.size()))
         return false;
-    // One fsync per record: journal appends happen once per completed
-    // work item (each worth seconds of evaluation), so durability is
-    // cheap relative to what it protects.
+    // One fsync per commit: a commit is a whole round of work items
+    // (sweep) or one item (batch), each worth far more evaluation
+    // time than the sync costs.
     return ::fsync(_fd) == 0;
 }
 
 void
 JournalWriter::close()
 {
+    // Every acknowledged append was already fsync'd.
     if (_fd >= 0) {
-        ::fsync(_fd);
         ::close(_fd);
         _fd = -1;
     }
@@ -114,7 +148,11 @@ readJournal(const std::string &path)
 
     std::string line;
     bool corrupt = false;
+    std::size_t offset = 0;  // bytes consumed, through this line
     while (std::getline(in, line)) {
+        // getline sets eof only when no '\n' ended the line.
+        const bool terminated = !in.eof();
+        offset += line.size() + (terminated ? 1 : 0);
         if (corrupt) {
             ++out.droppedLines;
             continue;
@@ -134,8 +172,11 @@ readJournal(const std::string &path)
                 toHex64(fnv1a64(reinterpret_cast<const std::uint8_t *>(
                                     payload.data()),
                                 payload.size()));
-            if (valid)
+            if (valid) {
                 out.records.push_back(payload);
+                out.intactBytes = offset;
+                out.lastRecordUnterminated = !terminated;
+            }
         }
         if (!valid) {
             // Appends are ordered and fsync'd, so an invalid line
@@ -146,8 +187,9 @@ readJournal(const std::string &path)
             ++out.droppedLines;
         }
     }
-    // A file ending without a final newline is a truncated last
-    // record; getline still yields the fragment, handled above.
+    // A file ending without a final newline ends in a fragment (caught
+    // by the checks above) or in a whole record that lost only its
+    // newline, which stays valid and is flagged for openAfter().
     return out;
 }
 

@@ -2,12 +2,15 @@
  * @file
  * Append-only, checksummed progress journal.
  *
- * Long-running drivers (the batch runner, the case-study sweep) record
- * one journal record per completed work item so a crash, OOM-kill, or
- * SIGKILL loses at most the item that was in flight.  A later run with
- * `-resume` replays the journal, skips completed items, and re-emits
- * their recorded results — producing the same outputs as an
- * uninterrupted run without re-evaluating anything already done.
+ * Long-running drivers record completed work in commits: the batch
+ * runner commits one record per item, the case-study sweep one record
+ * per design point, a round's points (64 at most) in one commit.
+ * Each commit is one write(2) and one fsync, so a crash, OOM-kill, or
+ * SIGKILL loses at most the item (batch) or the round (sweep) that was
+ * in flight.  A later run with `-resume` replays the journal, skips
+ * completed items, and re-emits their recorded results — producing
+ * the same outputs as an uninterrupted run without re-evaluating
+ * anything already done.
  *
  * ## Format
  *
@@ -18,12 +21,14 @@
  * The payload is a single-line JSON object (the writer rejects
  * embedded newlines).  Each record is self-checking: the reader
  * verifies the prefix and the checksum before trusting the payload.
- * Records are written with a single write(2) call and fsync'd, so a
- * crash can only ever truncate the *tail* of the file.  The reader
- * therefore stops at the first invalid line (truncated tail, bad
- * checksum, garbage) and returns everything before it — corruption
- * degrades to re-evaluating the affected items, never to using a
- * half-written record.
+ * Commits are appended in order and fsync'd, so a crash can only ever
+ * truncate the *tail* of the file, possibly inside a multi-record
+ * commit.  The reader therefore stops at the first invalid line
+ * (truncated tail, bad checksum, garbage) and returns everything
+ * before it — corruption degrades to re-evaluating the affected
+ * items, never to using a half-written record.  Within a commit,
+ * records keep the order the caller gave them (the sweep's is design
+ * point index order), so the file's line order is deterministic.
  *
  * The first record is by convention a header describing what produced
  * the journal (schema, inputs, options); readers validate it before
@@ -35,17 +40,21 @@
 #define MCPAT_COMMON_JOURNAL_HH
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace mcpat {
 namespace common {
 
+struct JournalContents;
+
 /**
- * Append-only journal writer over a POSIX fd (O_APPEND), one fsync'd
- * record per append.  All methods are noexcept-by-contract: failures
- * return false and latch, so a full disk degrades the run to
- * journal-less (the caller warns once) instead of aborting it.
+ * Append-only journal writer over a POSIX fd (O_APPEND), one write(2)
+ * and one fsync per append.  All methods are noexcept-by-contract:
+ * failures return false, and the caller warns once and decides
+ * whether to keep journaling, so a full disk degrades the run to
+ * journal-less instead of aborting it.
  *
  * Not internally synchronized: callers appending from multiple
  * threads serialize externally.
@@ -67,14 +76,34 @@ class JournalWriter
               std::string *error = nullptr);
 
     /**
-     * Append one record for @p payload (a single-line string; embedded
-     * newlines are rejected).  The record — prefix, checksum, payload,
-     * trailing newline — is written with one write(2) and fsync'd
-     * before returning, so a record that this method acknowledged
-     * survives any subsequent crash.
+     * Open @p path, which readJournal() returned @p read for, to append
+     * after its intact records.  A torn tail is cut off in place
+     * (ftruncate to read.intactBytes), and a last record that lost its
+     * newline gets one, then the repair is fsync'd; the intact records
+     * are never rewritten, so a failed repair cannot lose them.
+     * Returns false with a description in @p error on failure.
      */
-    bool append(const std::string &payload);
+    bool openAfter(const std::string &path, const JournalContents &read,
+                   std::string *error = nullptr);
 
+    /**
+     * Commit one record per payload, in order.  Each payload is a
+     * single-line string; if any holds '\n' or '\r' the whole commit
+     * is refused and nothing is written.  The records — prefix,
+     * checksum, payload, trailing newline each — are framed into one
+     * buffer, written with one write(2) and fsync'd once before
+     * returning, so a commit that this method acknowledged survives
+     * any subsequent crash.  An empty commit writes nothing.
+     */
+    bool append(std::span<const std::string> payloads);
+
+    /** Commit a single record: the one-payload case of the above. */
+    bool append(const std::string &payload)
+    {
+        return append(std::span<const std::string>(&payload, 1));
+    }
+
+    /** Close the fd; no sync needed, since every append synced. */
     void close();
 
     bool isOpen() const { return _fd >= 0; }
@@ -103,6 +132,19 @@ struct JournalContents
 
     /** Lines discarded at and after the first invalid one. */
     std::size_t droppedLines = 0;
+
+    /**
+     * Byte length of the intact prefix: it ends after the last valid
+     * record's line terminator, or after its last byte when the file
+     * ends without one.
+     */
+    std::size_t intactBytes = 0;
+
+    /**
+     * True when the last valid record has no '\n' (a crash cut the
+     * file just before it); anything appended must start a new line.
+     */
+    bool lastRecordUnterminated = false;
 };
 
 /**

@@ -5,20 +5,20 @@
 
 #include "study/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <iomanip>
+#include <iostream>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 
 #include "chip/processor.hh"
 #include "common/cancel.hh"
 #include "common/diagnostics.hh"
+#include "common/event_log.hh"
 #include "common/instrument.hh"
-#include "common/journal.hh"
 #include "common/json_value.hh"
 #include "common/parallel.hh"
 
@@ -391,85 +391,149 @@ sweepItemPayload(const DesignPointResult &r)
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/** Largest commit: a kill loses at most this many finished points of
+ *  a round larger than it (an exhaustive grid), at one fsync per
+ *  chunk. */
+constexpr std::size_t kMaxPointsPerCommit = 64;
+
+/** Tell the log and the event log that resume will not be available. */
+void
+warnNoResume(const char *event, const std::string &what,
+             const std::string &path)
+{
+    std::cerr << "sweep: warning: " << what
+              << "; resume will not be available\n";
+    if (elog::enabled(elog::Level::Warn))
+        elog::emit(elog::Level::Warn, "study.sweep", event,
+                   what + "; resume will not be available",
+                   {elog::Field::str("path", path)});
+}
+
 } // namespace
+
+SweepJournalSession::SweepJournalSession(const SweepJournalOptions &journal,
+                                         double work)
+    : _work(work), _path(journal.path)
+{
+    if (_path.empty())
+        return;
+
+    // Resume: read and validate the journal once, keeping its points
+    // (keyed by the canonical design-point key) for replay.
+    common::JournalContents j;
+    bool resumed = false;
+    if (journal.resume) {
+        j = common::readJournal(_path);
+        common::JsonValue hdr;
+        resumed = !j.records.empty() &&
+            common::jsonParse(j.records.front(), hdr) &&
+            hdr.getString("schema") == "mcpat-sweep-journal-v2" &&
+            journalWorkMatches(hdr, work);
+    }
+    if (resumed) {
+        for (std::size_t i = 1; i < j.records.size(); ++i) {
+            common::JsonValue v;
+            if (!common::jsonParse(j.records[i], v) ||
+                v.getString("type") != "point")
+                continue;
+            DesignPointResult r;
+            r.aggregatesOnly = true;
+            // Journaled nulls (non-finite figures) replay as NaN,
+            // matching what a fresh evaluation would produce.
+            r.area = v.getNumber("area", kNaN);
+            r.tdp = v.getNumber("tdp", kNaN);
+            r.meanThroughput = v.getNumber("mean_throughput", kNaN);
+            r.meanPower = v.getNumber("mean_power", kNaN);
+            r.meanMetrics.ed = v.getNumber("ed", kNaN);
+            r.meanMetrics.ed2 = v.getNumber("ed2", kNaN);
+            r.meanMetrics.eda = v.getNumber("eda", kNaN);
+            r.meanMetrics.ed2a = v.getNumber("ed2a", kNaN);
+            _replay[v.getString("key")] = std::move(r);
+        }
+    }
+
+    // A resumed journal is appended to after its intact records (a
+    // torn tail is cut off in place); any other starts from a header.
+    std::string error;
+    const bool opened = resumed
+        ? _writer.openAfter(_path, j, &error)
+        : _writer.open(_path, /*truncate=*/true, &error);
+    if (!opened) {
+        warnNoResume("journal_open_failed", error, _path);
+        return;
+    }
+    if (!resumed)
+        commit({"{\"schema\": \"mcpat-sweep-journal-v2\", \"work\": " +
+                jsonRoundTrip(work) + "}"});
+}
+
+std::vector<DesignPointResult>
+SweepJournalSession::evaluateRound(
+    const std::vector<CaseStudyConfig> &configs)
+{
+    // The parallel body only fills its slots (result and, for a fresh
+    // point, its journal record).  A chunk's slots are committed in
+    // index order once the chunk is done, or once a cancel or error
+    // has stopped it, so a kill loses at most the chunk in flight and
+    // an exception loses no point that finished.
+    std::vector<DesignPointResult> results(configs.size());
+    const bool journaling = _writer.isOpen();
+    instr::ProgressMeter progress("sweep", configs.size());
+    for (std::size_t begin = 0; begin < configs.size();
+         begin += kMaxPointsPerCommit) {
+        const std::size_t n =
+            std::min(kMaxPointsPerCommit, configs.size() - begin);
+        std::vector<std::string> records(n);
+        const auto evaluate = [&](std::size_t k) {
+            const std::size_t i = begin + k;
+            const auto rep = _replay.find(configs[i].key());
+            if (rep != _replay.end()) {
+                g_replayed.fetch_add(1, std::memory_order_relaxed);
+                results[i] = rep->second;
+                results[i].config = configs[i];
+            } else {
+                const std::uint64_t t0 =
+                    instr::enabled() ? instr::nowNanos() : 0;
+                results[i] = evaluateDesignPoint(configs[i], _work);
+                if (instr::enabled())
+                    instr::Registry::instance()
+                        .histogram("sweep.point_ms")
+                        .record((instr::nowNanos() - t0) * 1e-6);
+                if (journaling)
+                    records[k] = sweepItemPayload(results[i]);
+            }
+            progress.tick();
+        };
+        try {
+            parallel::parallelFor(n, evaluate);
+        } catch (...) {
+            commit(std::move(records));
+            throw;
+        }
+        commit(std::move(records));
+    }
+    return results;
+}
+
+void
+SweepJournalSession::commit(std::vector<std::string> slots)
+{
+    // An empty slot is a replayed point, or one an exception stopped.
+    std::erase(slots, std::string());
+    if (_writer.isOpen() && !_writer.append(slots)) {
+        // A failed write may leave a torn tail; anything appended after
+        // it would be unreadable, so stop journaling.
+        _writer.close();
+        warnNoResume("journal_commit_failed",
+                     "cannot commit to journal '" + _path + "'", _path);
+    }
+}
 
 std::vector<DesignPointResult>
 evaluateDesignPoints(const std::vector<CaseStudyConfig> &configs,
-                     double work, const SweepJournalOptions &journal_opts)
+                     double work, const SweepJournalOptions &journal)
 {
-    // Replayable aggregates from an earlier interrupted sweep, keyed
-    // by the canonical design-point key.
-    std::map<std::string, DesignPointResult> replay;
-    if (journal_opts.resume && !journal_opts.path.empty()) {
-        const common::JournalContents j =
-            common::readJournal(journal_opts.path);
-        bool header_ok = false;
-        if (!j.records.empty()) {
-            common::JsonValue hdr;
-            header_ok = common::jsonParse(j.records.front(), hdr) &&
-                hdr.getString("schema") == "mcpat-sweep-journal-v2" &&
-                journalWorkMatches(hdr, work);
-        }
-        if (header_ok) {
-            for (std::size_t i = 1; i < j.records.size(); ++i) {
-                common::JsonValue v;
-                if (!common::jsonParse(j.records[i], v) ||
-                    v.getString("type") != "point")
-                    continue;
-                DesignPointResult r;
-                r.aggregatesOnly = true;
-                // Journaled nulls (non-finite figures) replay as NaN,
-                // matching what a fresh evaluation would produce.
-                r.area = v.getNumber("area", kNaN);
-                r.tdp = v.getNumber("tdp", kNaN);
-                r.meanThroughput = v.getNumber("mean_throughput", kNaN);
-                r.meanPower = v.getNumber("mean_power", kNaN);
-                r.meanMetrics.ed = v.getNumber("ed", kNaN);
-                r.meanMetrics.ed2 = v.getNumber("ed2", kNaN);
-                r.meanMetrics.eda = v.getNumber("eda", kNaN);
-                r.meanMetrics.ed2a = v.getNumber("ed2a", kNaN);
-                replay[v.getString("key")] = std::move(r);
-            }
-        }
-    }
-
-    common::JournalWriter journal;
-    std::mutex journal_mutex;
-    if (!journal_opts.path.empty() &&
-        journal.open(journal_opts.path, /*truncate=*/replay.empty())) {
-        if (replay.empty()) {
-            journal.append(
-                "{\"schema\": \"mcpat-sweep-journal-v2\", \"work\": " +
-                jsonRoundTrip(work) + "}");
-        }
-    }
-
-    std::vector<DesignPointResult> results(configs.size());
-    instr::ProgressMeter progress("sweep", configs.size());
-    parallel::parallelFor(configs.size(), [&](std::size_t i) {
-        const auto rep = replay.find(configs[i].key());
-        if (rep != replay.end()) {
-            g_replayed.fetch_add(1, std::memory_order_relaxed);
-            results[i] = rep->second;
-            results[i].config = configs[i];
-        } else {
-            const std::uint64_t t0 =
-                instr::enabled() ? instr::nowNanos() : 0;
-            results[i] = evaluateDesignPoint(configs[i], work);
-            if (instr::enabled())
-                instr::Registry::instance()
-                    .histogram("sweep.point_ms")
-                    .record((instr::nowNanos() - t0) * 1e-6);
-            if (journal.isOpen()) {
-                // Appends interleave across worker threads; the writer
-                // is not internally synchronized.
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                journal.append(sweepItemPayload(results[i]));
-            }
-        }
-        progress.tick();
-    });
-    return results;
+    return SweepJournalSession(journal, work).evaluateRound(configs);
 }
 
 std::vector<DesignPointResult>

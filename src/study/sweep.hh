@@ -10,11 +10,13 @@
 #define MCPAT_STUDY_SWEEP_HH
 
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/diagnostics.hh"
+#include "common/journal.hh"
 #include "perf/activity_gen.hh"
 #include "study/metrics.hh"
 
@@ -130,7 +132,7 @@ DesignPointResult evaluateDesignPoint(const CaseStudyConfig &cfg,
 /** The paper's design points: both core styles x clusters {1,2,4,8}. */
 std::vector<CaseStudyConfig> caseStudyConfigs();
 
-/** Journal controls for evaluateDesignPoints(). */
+/** Journal controls for SweepJournalSession / evaluateDesignPoints(). */
 struct SweepJournalOptions
 {
     /** Journal file; empty disables journaling (and resume). */
@@ -147,13 +149,62 @@ struct SweepJournalOptions
 };
 
 /**
- * Evaluate @p configs in parallel, journaling each completed point
- * (schema "mcpat-sweep-journal-v2", keyed by CaseStudyConfig::key())
- * so an interrupted sweep resumes without redoing finished points.
- * The resume header binds the `work` value by its max_digits10
- * round-trip representation — JSON null for a non-finite work — so a
- * journal matches exactly when the value it was built with matches.
- * Results keep @p configs order.
+ * One sweep journal (schema "mcpat-sweep-journal-v2", keyed by
+ * CaseStudyConfig::key()) held open across every round of a sweep or
+ * search, so an interrupted run resumes without redoing finished
+ * points.
+ *
+ * On construction, with resume set, the journal is read and validated
+ * once: the header must carry the schema and bind the `work` value by
+ * its max_digits10 round-trip representation (JSON null for a
+ * non-finite work), so a journal matches exactly when the value it
+ * was built with matches.  Its points become the replay set.  The file
+ * is then opened once.  A resumed journal is appended to after its
+ * intact records (a torn tail is cut off in place, never rewritten);
+ * any other is truncated and gets a fresh header.
+ *
+ * Each evaluateRound() commits that round's freshly evaluated points
+ * in one write(2) and one fsync once the round is done, in @p configs
+ * order; a round of more than 64 points commits every 64.  So a kill
+ * loses at most the round (at most 64 points) in flight, a cancel or
+ * other exception loses no point that finished (the finished slots
+ * are committed before it propagates), and the file's line order is
+ * deterministic at any thread count: the header, then each round's
+ * fresh points in index order.
+ *
+ * A journal that cannot be opened or committed to warns once (stderr
+ * and the event log, component "study.sweep") and the sweep runs on
+ * without it; results never depend on the journal.
+ */
+class SweepJournalSession
+{
+  public:
+    SweepJournalSession(const SweepJournalOptions &journal, double work);
+
+    /**
+     * Evaluate @p configs in parallel, replaying journaled points, and
+     * commit the fresh ones.  Results keep @p configs order.
+     */
+    std::vector<DesignPointResult>
+    evaluateRound(const std::vector<CaseStudyConfig> &configs);
+
+  private:
+    /**
+     * Append the non-empty @p slots as one commit.  A failure warns
+     * and closes the journal, so the session warns at most once.
+     */
+    void commit(std::vector<std::string> slots);
+
+    double _work;
+    std::string _path;
+    std::map<std::string, DesignPointResult> _replay;
+    common::JournalWriter _writer;
+};
+
+/**
+ * Evaluate @p configs as a one-round SweepJournalSession: the fresh
+ * points are journaled once they finish, so a resumed sweep does not
+ * redo them.  Results keep @p configs order.
  */
 std::vector<DesignPointResult>
 evaluateDesignPoints(const std::vector<CaseStudyConfig> &configs,

@@ -174,12 +174,13 @@ runSweepSearch(const SweepSpace &space, const SweepSearchOptions &opts)
     result.gridSize = space.size();
     const SweepEvalStats before = sweepEvalStats();
 
-    // Flat index -> result, accumulated over refinement rounds.  The
-    // journal accumulates in step: round 1 starts it (unless the
-    // caller resumes an interrupted search), later rounds always
-    // resume, so every finished point is replayable after a kill.
+    // Flat index -> result, accumulated over refinement rounds.  One
+    // journal session serves every round: it reads a resumed journal
+    // once and commits each round's fresh points once the round is
+    // done (or stopped by an exception), so a kill loses at most the
+    // round in flight.
     std::map<std::size_t, DesignPointResult> evaluated;
-    bool first_round = true;
+    SweepJournalSession journal(opts.journal, opts.work);
     const auto evalBatch = [&](const std::set<std::size_t> &flats) {
         std::vector<std::size_t> order;
         std::vector<CaseStudyConfig> cfgs;
@@ -187,11 +188,8 @@ runSweepSearch(const SweepSpace &space, const SweepSearchOptions &opts)
             order.push_back(flat);
             cfgs.push_back(space.at(flat));
         }
-        SweepJournalOptions jo = opts.journal;
-        jo.resume = opts.journal.resume || !first_round;
-        first_round = false;
         const std::vector<DesignPointResult> rs =
-            evaluateDesignPoints(cfgs, opts.work, jo);
+            journal.evaluateRound(cfgs);
         for (std::size_t i = 0; i < order.size(); ++i)
             evaluated.emplace(order[i], rs[i]);
         ++result.rounds;

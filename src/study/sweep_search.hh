@@ -11,11 +11,13 @@
  * scales with the frontier's size, not the grid's.
  *
  * The search journals through the same "mcpat-sweep-journal-v2"
- * machinery as the exhaustive sweep (each refinement round resumes
- * from the accumulated journal), so a killed search replays finished
- * points and continues — and because replayed aggregates round-trip at
- * full precision, the resumed search takes bit-identical dominance
- * decisions.
+ * machinery as the exhaustive sweep: one SweepJournalSession for the
+ * whole search commits each round's fresh points, in index order, with
+ * one fsync after the round is done.  A killed search loses at most
+ * the round in flight (a cancelled one loses no finished point),
+ * replays finished points and continues — and
+ * because replayed aggregates round-trip at full precision, the
+ * resumed search takes bit-identical dominance decisions.
  */
 
 #ifndef MCPAT_STUDY_SWEEP_SEARCH_HH
@@ -101,7 +103,7 @@ struct SweepSearchOptions
     /** Evaluate the whole grid instead of searching. */
     bool exhaustive = false;
 
-    /** Journal path + resume flag, as for evaluateDesignPoints(). */
+    /** Journal path + resume flag, as for SweepJournalSession. */
     SweepJournalOptions journal;
 };
 

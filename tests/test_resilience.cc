@@ -690,6 +690,51 @@ TEST(SweepJournal, DamagedTailReplaysIntactPointsByteIdentically)
         EXPECT_EQ(resumed[i].meanMetrics.ed2a,
                   fresh[i].meanMetrics.ed2a);
     }
+
+    // The resume cut the torn tail off in place before committing the
+    // point it re-evaluated, so a second resume replays both points.
+    study::resetSweepEvalStats();
+    study::evaluateDesignPoints(configs, 1.0e12, journal);
+    const auto again = study::sweepEvalStats();
+    EXPECT_EQ(again.replayed, 2u);
+    EXPECT_EQ(again.fullEvaluations, 0u);
+    EXPECT_FALSE(common::readJournal(journal.path).tailCorrupt);
+    fs::remove_all(dir);
+}
+
+TEST(SweepJournal, LastPointWithoutNewlineReplaysAndStaysReadable)
+{
+    const fs::path dir = scratchDir("sweep_newline");
+    std::vector<study::CaseStudyConfig> configs(2);
+    configs[0].totalCores = 4;
+    configs[0].coresPerCluster = 2;
+    configs[1].totalCores = 4;
+    configs[1].coresPerCluster = 4;
+
+    study::SweepJournalOptions journal;
+    journal.path = (dir / "sweep_journal.jsonl").string();
+    study::evaluateDesignPoints(configs, 1.0e12, journal);
+
+    // A crash just before the last record's newline leaves that
+    // record whole: it replays, and the resumed run's commit must
+    // start on a new line rather than run on from it.
+    fs::resize_file(journal.path, fs::file_size(journal.path) - 1);
+    configs.push_back(configs[0]);
+    configs[2].coresPerCluster = 1;
+    journal.resume = true;
+    study::resetSweepEvalStats();
+    study::evaluateDesignPoints(configs, 1.0e12, journal);
+    EXPECT_EQ(study::sweepEvalStats().replayed, 2u);
+    EXPECT_EQ(study::sweepEvalStats().fullEvaluations, 1u);
+
+    study::resetSweepEvalStats();
+    study::evaluateDesignPoints(configs, 1.0e12, journal);
+    EXPECT_EQ(study::sweepEvalStats().replayed, 3u);
+    EXPECT_EQ(study::sweepEvalStats().fullEvaluations, 0u);
+    const common::JournalContents j = common::readJournal(journal.path);
+    EXPECT_FALSE(j.tailCorrupt);
+    EXPECT_FALSE(j.lastRecordUnterminated);
+    EXPECT_EQ(j.records.size(), 4u);  // header + 3 points
     fs::remove_all(dir);
 }
 

@@ -2,14 +2,20 @@
  * @file
  * Delta-evaluation and Pareto-frontier search tests: the component
  * memo's sharing correctness (memo on vs off is bit-identical) and
- * hit accounting, grid indexing, dominance relations, and the
- * search's frontier-identity contract against the exhaustive grid.
+ * hit accounting, grid indexing, dominance relations, the search's
+ * frontier-identity contract against the exhaustive grid, and its
+ * journal: deterministic bytes at any thread count, bit-identical
+ * resume after a crash between rounds or an exception inside one, and
+ * journal failures that warn once without changing results.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <set>
@@ -19,6 +25,8 @@
 #include "chip/component_memo.hh"
 #include "chip/processor.hh"
 #include "chip/report_writer.hh"
+#include "common/event_log.hh"
+#include "common/parallel.hh"
 #include "study/sweep_search.hh"
 
 using namespace mcpat;
@@ -160,6 +168,262 @@ TEST(SweepSearch, JournaledSearchResumesWithoutReevaluation)
     EXPECT_EQ(second.frontier, first.frontier);
     EXPECT_EQ(second.rounds, first.rounds);
     fs::remove_all(dir);
+}
+
+namespace {
+
+fs::path
+scratchDir(const std::string &tag)
+{
+    const fs::path dir = fs::temp_directory_path() /
+        ("mcpat_sweep_search_" + tag + "_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+std::vector<std::string>
+readLines(const fs::path &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + needle.size()))
+        ++n;
+    return n;
+}
+
+/** Same points, figures bit for bit, same frontier, same rounds. */
+void
+expectSameSearch(const SweepSearchResult &a, const SweepSearchResult &b)
+{
+    EXPECT_EQ(a.frontier, b.frontier);
+    EXPECT_EQ(a.rounds, b.rounds);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t i = 0; i < a.points.size(); ++i) {
+        const DesignPointResult &x = a.points[i].result;
+        const DesignPointResult &y = b.points[i].result;
+        EXPECT_EQ(a.points[i].index, b.points[i].index);
+        EXPECT_EQ(x.area, y.area);
+        EXPECT_EQ(x.tdp, y.tdp);
+        EXPECT_EQ(x.meanThroughput, y.meanThroughput);
+        EXPECT_EQ(x.meanPower, y.meanPower);
+        EXPECT_EQ(x.meanMetrics.ed, y.meanMetrics.ed);
+        EXPECT_EQ(x.meanMetrics.ed2, y.meanMetrics.ed2);
+        EXPECT_EQ(x.meanMetrics.eda, y.meanMetrics.eda);
+        EXPECT_EQ(x.meanMetrics.ed2a, y.meanMetrics.ed2a);
+    }
+}
+
+/** Redirects std::cerr into a string for the guard's lifetime. */
+class CerrCapture
+{
+  public:
+    CerrCapture() : _old(std::cerr.rdbuf(_buf.rdbuf())) {}
+    ~CerrCapture() { std::cerr.rdbuf(_old); }
+    std::string text() const { return _buf.str(); }
+
+  private:
+    std::ostringstream _buf;
+    std::streambuf *_old;
+};
+
+/** Restores the default model thread count on scope exit. */
+struct ThreadCountGuard
+{
+    explicit ThreadCountGuard(int n) { parallel::setThreadCount(n); }
+    ~ThreadCountGuard() { parallel::setThreadCount(0); }
+};
+
+/**
+ * A search journaling to @p journal_path, which cannot be opened or
+ * committed to, must warn exactly once (stderr and an @p event record
+ * in the event log) and return the journal-less search's results.
+ */
+void
+expectJournalFailureWarnsOnce(const std::string &journal_path,
+                              const std::string &event)
+{
+    const SweepSpace space = tinySpace();
+    const SweepSearchResult expected =
+        runSweepSearch(space, SweepSearchOptions{});
+
+    const fs::path dir = scratchDir("journal_failure");
+    const std::string log_path = (dir / "events.jsonl").string();
+    ASSERT_TRUE(elog::open(log_path));
+    SweepSearchOptions opts;
+    opts.journal.path = journal_path;
+    std::string warning;
+    SweepSearchResult r;
+    {
+        const CerrCapture capture;
+        r = runSweepSearch(space, opts);
+        warning = capture.text();
+    }
+    elog::close();
+
+    expectSameSearch(r, expected);
+    EXPECT_EQ(countOf(warning, "sweep: warning: "), 1u) << warning;
+    EXPECT_NE(warning.find("resume will not be available"),
+              std::string::npos)
+        << warning;
+    const std::string events = slurp(log_path);
+    EXPECT_EQ(countOf(events, event), 1u) << events;
+    EXPECT_NE(events.find("study.sweep"), std::string::npos) << events;
+    fs::remove_all(dir);
+}
+
+} // namespace
+
+TEST(SweepSearch, JournalBytesIdenticalAcrossThreadCounts)
+{
+    const fs::path dir = scratchDir("threads");
+    const SweepSpace space = tinySpace();
+    for (int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        SweepSearchOptions opts;
+        opts.journal.path =
+            (dir / ("journal_" + std::to_string(threads))).string();
+        runSweepSearch(space, opts);
+    }
+    // Each round commits its fresh points in index order, never in
+    // completion order.
+    const std::string serial = slurp(dir / "journal_1");
+    EXPECT_FALSE(serial.empty());
+    EXPECT_EQ(serial, slurp(dir / "journal_4"));
+    fs::remove_all(dir);
+}
+
+TEST(SweepSearch, CrashBetweenRoundsResumesBitIdentically)
+{
+    const fs::path dir = scratchDir("crash");
+    const SweepSpace space = tinySpace();
+    SweepSearchOptions opts;
+    opts.journal.path = (dir / "sweep_journal.jsonl").string();
+    const SweepSearchResult full = runSweepSearch(space, opts);
+    ASSERT_GT(full.rounds, 1);
+    const std::string full_journal = slurp(opts.journal.path);
+
+    // Round 1 evaluates the seeds: every grid corner plus the center.
+    std::set<std::size_t> seeds;
+    const auto d = space.dims();
+    for (unsigned mask = 0; mask < (1u << SweepSpace::kAxes); ++mask) {
+        std::array<std::size_t, SweepSpace::kAxes> c{};
+        for (std::size_t a = 0; a < SweepSpace::kAxes; ++a)
+            c[a] = (mask & (1u << a)) ? d[a] - 1 : 0;
+        seeds.insert(space.flatIndex(c));
+    }
+    std::array<std::size_t, SweepSpace::kAxes> center{};
+    for (std::size_t a = 0; a < SweepSpace::kAxes; ++a)
+        center[a] = d[a] / 2;
+    seeds.insert(space.flatIndex(center));
+
+    // The journal is the header, then round 1's points in index order.
+    const std::vector<std::string> lines = readLines(opts.journal.path);
+    ASSERT_EQ(lines.size(), 1 + full.points.size());
+    std::size_t line = 1;
+    for (std::size_t flat : seeds) {
+        EXPECT_NE(lines[line].find("\"key\": \"" + space.at(flat).key() +
+                                   "\""),
+                  std::string::npos)
+            << "line " << line;
+        ++line;
+    }
+
+    // Kill between rounds 1 and 2: keep the header and round 1.
+    {
+        std::ofstream out(opts.journal.path, std::ios::trunc);
+        for (std::size_t i = 0; i <= seeds.size(); ++i)
+            out << lines[i] << "\n";
+    }
+    opts.journal.resume = true;
+    const SweepSearchResult resumed = runSweepSearch(space, opts);
+    EXPECT_EQ(resumed.replayed, seeds.size());
+    EXPECT_EQ(resumed.fullEvaluations, full.points.size() - seeds.size());
+    expectSameSearch(resumed, full);
+    // The resumed run commits the lost rounds exactly as they were.
+    EXPECT_EQ(slurp(opts.journal.path), full_journal);
+    fs::remove_all(dir);
+}
+
+TEST(SweepSearch, StoppedExhaustiveRoundKeepsFinishedPoints)
+{
+    const fs::path dir = scratchDir("stopped");
+    // 72 points in one exhaustive round: more than one 64-point commit.
+    SweepSpace space;
+    space.totalCores = 4;
+    space.styles = {CoreStyle::InOrderMT};
+    space.clusterSizes = {1, 2, 4};
+    space.l2BytesPerCore = {512.0 * 1024, 1.0 * 1024 * 1024,
+                            2.0 * 1024 * 1024};
+    space.clockRates = {1.5e9, 1.75e9, 2.0e9, 2.25e9,
+                        2.5e9, 2.75e9, 3.0e9, 3.25e9};
+    SweepSearchOptions opts;
+    opts.exhaustive = true;
+    const SweepSearchResult full = runSweepSearch(space, opts);
+
+    // A cluster of 3 does not divide the 4 cores, so the first such
+    // point (flat index 72) throws partway through the round, as a
+    // cancel would.  At one thread every point before it has finished
+    // and none after it has started.
+    SweepSpace stopped = space;
+    stopped.clusterSizes = {1, 2, 4, 3};
+    opts.journal.path = (dir / "sweep_journal.jsonl").string();
+    {
+        const ThreadCountGuard guard(1);
+        EXPECT_THROW(runSweepSearch(stopped, opts), ConfigError);
+    }
+    // The first commit held 64 points; the stopped one the other 8.
+    const std::vector<std::string> lines = readLines(opts.journal.path);
+    ASSERT_EQ(lines.size(), 1 + space.size());
+    for (std::size_t flat = 0; flat < space.size(); ++flat)
+        EXPECT_NE(lines[1 + flat].find("\"key\": \"" +
+                                       space.at(flat).key() + "\""),
+                  std::string::npos)
+            << "line " << 1 + flat;
+
+    opts.journal.resume = true;
+    const SweepSearchResult resumed = runSweepSearch(space, opts);
+    EXPECT_EQ(resumed.replayed, space.size());
+    EXPECT_EQ(resumed.fullEvaluations, 0u);
+    expectSameSearch(resumed, full);
+    fs::remove_all(dir);
+}
+
+TEST(SweepSearch, UnopenableJournalWarnsOnceAndKeepsResults)
+{
+    const fs::path missing = scratchDir("unopenable") / "missing";
+    expectJournalFailureWarnsOnce((missing / "sweep_journal.jsonl").string(),
+                                  "journal_open_failed");
+    EXPECT_FALSE(fs::exists(missing));
+    fs::remove_all(missing.parent_path());
+}
+
+TEST(SweepSearch, FailedCommitWarnsOnceAndKeepsResults)
+{
+    // Every write to /dev/full fails with ENOSPC after a successful
+    // open: the disk-full case.
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    expectJournalFailureWarnsOnce("/dev/full", "journal_commit_failed");
 }
 
 TEST(SweepSearch, WritersEmitFrontierAndFlags)
