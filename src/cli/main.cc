@@ -10,30 +10,26 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "chip/processor.hh"
-#include <fstream>
-
 #include "array/array_cache.hh"
-#include "chip/invariant_audit.hh"
+#include "chip/component_memo.hh"
 #include "chip/report_printer.hh"
+#include "chip/report_writer.hh"
+#include "chip/thermal.hh"
 #include "common/cancel.hh"
 #include "common/event_log.hh"
 #include "common/flight_recorder.hh"
 #include "common/instrument.hh"
 #include "common/parallel.hh"
-#include "chip/report_writer.hh"
-#include "chip/thermal.hh"
-#include "config/gem5_stats.hh"
 #include "config/xml_loader.hh"
-#include "chip/component_memo.hh"
-#include "common/units.hh"
 #include "study/batch.hh"
+#include "study/eval_core.hh"
 #include "study/server.hh"
 #include "study/sweep_search.hh"
 
@@ -220,37 +216,39 @@ struct InstrumentationOutputs
         // Stop the flight recorder before serializing the trace so its
         // final sample (and counter events) land in -trace_out.
         mcpat::instr::FlightRecorder::instance().stop();
-        if (!traceOut.empty()) {
-            std::ofstream tf(traceOut);
-            if (tf) {
-                mcpat::instr::writeChromeTrace(tf);
-                std::cerr << "wrote " << traceOut << "\n";
-            } else {
-                std::cerr << "cannot write " << traceOut << "\n";
-                if (mcpat::elog::enabled(mcpat::elog::Level::Warn))
-                    mcpat::elog::emit(
-                        mcpat::elog::Level::Warn, "cli", "trace_write_failed",
-                        "cannot open -trace_out file for writing",
-                        {mcpat::elog::Field::str("path", traceOut)});
-            }
+        writeArtifact(traceOut, "-trace_out", "trace_write_failed",
+                      [](std::ostream &os) {
+                          mcpat::instr::writeChromeTrace(os);
+                      });
+        if (write_metrics)
+            writeArtifact(metricsOut, "-metrics_out",
+                          "metrics_write_failed", [&](std::ostream &os) {
+                              mcpat::instr::writeRunManifest(
+                                  os, runInfo(config, valid));
+                              os << "\n";
+                          });
+    }
+
+    /** Write @p path (if set) with @p body; warn when it won't open. */
+    template <typename Body>
+    static void
+    writeArtifact(const std::string &path, const char *flag,
+                  const char *event, Body body)
+    {
+        if (path.empty())
+            return;
+        std::ofstream f(path);
+        if (f) {
+            body(f);
+            std::cerr << "wrote " << path << "\n";
+            return;
         }
-        if (write_metrics && !metricsOut.empty()) {
-            std::ofstream mf(metricsOut);
-            if (mf) {
-                mcpat::instr::writeRunManifest(mf,
-                                               runInfo(config, valid));
-                mf << "\n";
-                std::cerr << "wrote " << metricsOut << "\n";
-            } else {
-                std::cerr << "cannot write " << metricsOut << "\n";
-                if (mcpat::elog::enabled(mcpat::elog::Level::Warn))
-                    mcpat::elog::emit(
-                        mcpat::elog::Level::Warn, "cli",
-                        "metrics_write_failed",
-                        "cannot open -metrics_out file for writing",
-                        {mcpat::elog::Field::str("path", metricsOut)});
-            }
-        }
+        std::cerr << "cannot write " << path << "\n";
+        if (mcpat::elog::enabled(mcpat::elog::Level::Warn))
+            mcpat::elog::emit(mcpat::elog::Level::Warn, "cli", event,
+                              std::string("cannot open ") + flag +
+                                  " file for writing",
+                              {mcpat::elog::Field::str("path", path)});
     }
 };
 
@@ -287,6 +285,64 @@ numericListArg(const char *flag, const char *value)
         std::exit(1);
     }
     return out;
+}
+
+/**
+ * The single-shot outputs of a successful evaluation: the text report
+ * on stdout, -json (with the run manifest embedded when instrumented),
+ * -csv, the -thermal fixed point and the core timing verdict.
+ */
+void
+writeSingleShot(const mcpat::study::EvalResult &result,
+                const std::string &infile, int print_level,
+                const std::string &json_out, const std::string &csv_out,
+                double thermal_rth,
+                const InstrumentationOutputs &instrumentation)
+{
+    std::cout << "McPAT (reproduction) results\n"
+              << "-----------------------------------------------\n";
+    mcpat::chip::printReport(std::cout, result.report, print_level);
+
+    if (!json_out.empty()) {
+        std::ofstream jf(json_out);
+        if (!jf)
+            throw mcpat::ConfigError("cannot write " + json_out);
+        // Embed the manifest so the report is self-describing; without
+        // instrumentation flags the document stays byte-identical to
+        // previous releases.
+        const std::string manifest = mcpat::instr::enabled()
+            ? mcpat::instr::runManifestJson(
+                  instrumentation.runInfo(infile, true), 2)
+            : std::string();
+        mcpat::chip::writeReportJson(jf, result.report, &manifest);
+        std::cerr << "wrote " << json_out << "\n";
+    }
+    if (!csv_out.empty()) {
+        std::ofstream cf(csv_out);
+        if (!cf)
+            throw mcpat::ConfigError("cannot write " + csv_out);
+        cf << result.reportCsv;
+        std::cerr << "wrote " << csv_out << "\n";
+    }
+    if (thermal_rth > 0.0) {
+        // Re-read the params here, and only here, so evaluation
+        // results never carry a SystemParams.
+        mcpat::chip::ThermalParams env;
+        env.junctionToAmbient = thermal_rth;
+        const auto th = mcpat::chip::solveThermal(
+            mcpat::config::loadSystemParamsFromFile(infile).system, env);
+        std::cout << "-----------------------------------------------\n"
+                  << "Thermal fixed point (R = " << thermal_rth
+                  << " K/W): " << (th.converged ? "" : "RUNAWAY at ")
+                  << th.temperature << " K, " << th.power << " W ("
+                  << th.leakage << " W leakage)\n";
+    }
+    std::cout << "-----------------------------------------------\n"
+              << "Core timing check: "
+              << (result.meetsTiming ? "PASS"
+                                     : "FAIL (structure slower than one "
+                                       "clock; pipeline it)")
+              << "\n";
 }
 
 } // namespace
@@ -586,138 +642,49 @@ main(int argc, char **argv)
     }
 
     // Single-shot deadline: checkpoints throughout the model layers
-    // unwind to the Cancelled handler below, which exits 124 (the
-    // coreutils timeout convention) instead of leaving a zombie solve.
+    // unwind to a timed-out result, which exits 124 (the coreutils
+    // timeout convention) instead of leaving a zombie solve.  The
+    // scope bounds the whole run, -thermal included.
     mcpat::cancel::CancelToken deadline;
     deadline.setDeadlineIn(eval_timeout_ms);
     mcpat::cancel::ScopedCurrent deadline_scope(&deadline);
-    try {
-        mcpat::config::XmlNode root;
-        mcpat::config::LoadResult loaded;
-        {
-            MCPAT_SPAN("config_load");
-            root = mcpat::config::parseXmlFile(infile);
-            loaded = mcpat::config::loadSystemParams(root);
-        }
-
-        // Load-time diagnostics (surviving a non-throwing load means
-        // they are all warnings) plus the cross-field consistency pass.
-        {
-            MCPAT_SPAN("validate");
-            mcpat::DiagnosticList diags = loaded.diagnostics;
-            diags.merge(loaded.system.check());
-            diags.print(std::cerr);
-            if (diags.hasErrors()) {
-                std::cerr << "mcpat: invalid configuration: " << infile
-                          << "\n";
-                return 1;
-            }
-            if (strict && diags.hasWarnings()) {
-                std::cerr << "mcpat: strict mode: " << diags.size()
-                          << " warning(s) treated as errors for "
-                          << infile << "\n";
-                return 1;
-            }
-        }
-
-        mcpat::chip::Processor proc(loaded.system);
-        const mcpat::stats::ChipStats rt = gem5_stats.empty()
-            ? mcpat::config::loadChipStats(root, loaded.system)
-            : mcpat::config::gem5ToChipStats(
-                  mcpat::config::parseGem5StatsFile(gem5_stats),
-                  loaded.system);
-
-        {
-            MCPAT_SPAN("report");
-            const mcpat::Report report = proc.makeReport(rt);
-
-            // Chip-wide physical-invariant audit: surface impossible
-            // figures (negative power, child sums above the parent)
-            // as located diagnostics before anything is printed.
-            const mcpat::DiagnosticList audit =
-                mcpat::chip::auditReport(report);
-            audit.print(std::cerr);
-            if (strict && !audit.empty()) {
-                std::cerr << "mcpat: strict mode: " << audit.size()
-                          << " physical-invariant violation(s) for "
-                          << infile << "\n";
-                return 1;
-            }
-
-            std::cout << "McPAT (reproduction) results\n"
-                      << "-----------------------------------------------"
-                         "\n";
-            mcpat::chip::printReport(std::cout, report, print_level);
-
-            if (!json_out.empty()) {
-                std::ofstream jf(json_out);
-                if (!jf)
-                    throw mcpat::ConfigError("cannot write " + json_out);
-                if (mcpat::instr::enabled()) {
-                    // Embed the manifest so the report is
-                    // self-describing; without instrumentation flags the
-                    // document stays byte-identical to previous
-                    // releases.
-                    const std::string manifest =
-                        mcpat::instr::runManifestJson(
-                            instrumentation.runInfo(infile, true), 2);
-                    mcpat::chip::writeReportJson(jf, report, &manifest);
-                } else {
-                    mcpat::chip::writeReportJson(jf, report);
-                }
-                std::cerr << "wrote " << json_out << "\n";
-            }
-            if (!csv_out.empty()) {
-                std::ofstream cf(csv_out);
-                if (!cf)
-                    throw mcpat::ConfigError("cannot write " + csv_out);
-                mcpat::chip::writeReportCsv(cf, report);
-                std::cerr << "wrote " << csv_out << "\n";
-            }
-            if (thermal_rth > 0.0) {
-                mcpat::chip::ThermalParams env;
-                env.junctionToAmbient = thermal_rth;
-                const auto th =
-                    mcpat::chip::solveThermal(loaded.system, env);
-                std::cout
-                    << "-----------------------------------------------\n"
-                    << "Thermal fixed point (R = " << thermal_rth
-                    << " K/W): "
-                    << (th.converged ? "" : "RUNAWAY at ")
-                    << th.temperature << " K, " << th.power
-                    << " W (" << th.leakage << " W leakage)\n";
-            }
-            std::cout << "-----------------------------------------------"
-                         "\n"
-                      << "Core timing check: "
-                      << (proc.meetsTiming() ? "PASS" : "FAIL (structure "
-                         "slower than one clock; pipeline it)")
-                      << "\n";
-        }
-        if (cache_stats)
-            mcpat::array::reportCacheStats(std::cerr);
-        // All spans have closed; the exported trace and manifest see
-        // every phase including "report".
-        instrumentation.write(infile, /*valid=*/true,
-                              /*write_metrics=*/true);
-        return 0;
-    } catch (const mcpat::cancel::Cancelled &e) {
-        std::cerr << "mcpat: " << e.what() << "\n";
-        instrumentation.write(infile, /*valid=*/false,
-                              /*write_metrics=*/true);
-        return e.kind() == mcpat::cancel::Kind::Timeout ? 124 : 130;
-    } catch (const mcpat::ValidationError &e) {
-        // Per-diagnostic lines (component, key, source line), then a
-        // one-line verdict for scripts grepping the tail.
-        e.diagnostics().print(std::cerr);
+    mcpat::study::EvalRequest req;
+    req.configPath = infile;
+    req.strict = strict;
+    req.gem5StatsPath = gem5_stats;
+    req.wantReportJson = false;  // written below, with the manifest
+    req.wantReportCsv = !csv_out.empty();
+    const mcpat::study::EvalResult result = mcpat::study::evaluate(req);
+    result.diagnostics.print(std::cerr);
+    int rc = 0;
+    if (result.timedOut || result.interrupted) {
+        std::cerr << "mcpat: " << result.error << "\n";
+        rc = result.timedOut ? 124 : 130;
+    } else if (result.diagnostics.hasErrors()) {
+        // Per-diagnostic lines (component, key, source line) above,
+        // then a one-line verdict for scripts grepping the tail.
         std::cerr << "mcpat: invalid configuration: " << infile << "\n";
-        instrumentation.write(infile, /*valid=*/false,
-                              /*write_metrics=*/true);
-        return 1;
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        instrumentation.write(infile, /*valid=*/false,
-                              /*write_metrics=*/true);
-        return 1;
+        rc = 1;
+    } else if (!result.ok) {
+        std::cerr << result.error << "\n";
+        rc = 1;
+    } else {
+        try {
+            writeSingleShot(result, infile, print_level, json_out,
+                            csv_out, thermal_rth, instrumentation);
+        } catch (const mcpat::cancel::Cancelled &e) {
+            std::cerr << "mcpat: " << e.what() << "\n";
+            rc = e.kind() == mcpat::cancel::Kind::Timeout ? 124 : 130;
+        } catch (const std::exception &e) {
+            std::cerr << e.what() << "\n";
+            rc = 1;
+        }
     }
+    if (cache_stats && rc == 0)
+        mcpat::array::reportCacheStats(std::cerr);
+    // All spans have closed; the exported trace and manifest see
+    // every phase including "report", on failure exits too.
+    instrumentation.write(infile, /*valid=*/rc == 0,
+                          /*write_metrics=*/true);
+    return rc;
 }

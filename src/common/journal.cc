@@ -10,10 +10,15 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <ostream>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/event_log.hh"
+#include "common/json_value.hh"
 #include "common/serialize.hh"
 
 namespace mcpat {
@@ -191,6 +196,69 @@ readJournal(const std::string &path)
     // by the checks above) or in a whole record that lost only its
     // newline, which stays valid and is flagged for openAfter().
     return out;
+}
+
+JournalSession::JournalSession(std::string path, bool resume,
+                               const std::string &header,
+                               const HeaderCheck &accepts,
+                               std::string component, std::ostream &log)
+    : _path(std::move(path)), _component(std::move(component)), _log(&log)
+{
+    if (_path.empty())
+        return;
+
+    JournalContents read;
+    bool resumed = false;
+    if (resume) {
+        read = readJournal(_path);
+        JsonValue hdr;
+        resumed = !read.records.empty() &&
+            jsonParse(read.records.front(), hdr) && accepts(hdr);
+        if (!read.records.empty() && !resumed)
+            warn("journal_mismatch", "journal '" + _path +
+                                         "' does not match this run; "
+                                         "starting fresh");
+        else if (read.tailCorrupt)
+            warn("journal_tail_corrupt",
+                 "journal '" + _path + "' has a corrupt tail (" +
+                     std::to_string(read.droppedLines) +
+                     " line(s) dropped); affected items will be "
+                     "re-evaluated");
+    }
+
+    std::string error;
+    const bool opened = resumed
+        ? _writer.openAfter(_path, read, &error)
+        : _writer.open(_path, /*truncate=*/true, &error);
+    if (!opened)
+        warn("journal_open_failed", error + "; resume will not be available");
+    else if (resumed)
+        _records.assign(std::make_move_iterator(read.records.begin() + 1),
+                        std::make_move_iterator(read.records.end()));
+    else
+        commit(header);
+}
+
+void
+JournalSession::commit(std::span<const std::string> payloads)
+{
+    if (!_writer.isOpen() || _writer.append(payloads))
+        return;
+    // A failed write may leave a torn tail; anything appended after it
+    // would be unreadable, so stop journaling.
+    _writer.close();
+    warn("journal_commit_failed", "cannot commit to journal '" + _path +
+                                      "'; resume will not be available");
+}
+
+void
+JournalSession::warn(const char *event, const std::string &what) const
+{
+    *_log << _component.substr(_component.rfind('.') + 1)
+          << ": warning: " << what << "\n";
+    if (elog::enabled(elog::Level::Warn))
+        elog::emit(elog::Level::Warn, _component, event, what,
+                   {elog::Field::str("path", _path)});
 }
 
 } // namespace common

@@ -40,6 +40,8 @@
 #define MCPAT_COMMON_JOURNAL_HH
 
 #include <cstddef>
+#include <functional>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,13 +50,14 @@ namespace mcpat {
 namespace common {
 
 struct JournalContents;
+struct JsonValue;
 
 /**
  * Append-only journal writer over a POSIX fd (O_APPEND), one write(2)
  * and one fsync per append.  All methods are noexcept-by-contract:
- * failures return false, and the caller warns once and decides
- * whether to keep journaling, so a full disk degrades the run to
- * journal-less instead of aborting it.
+ * failures return false, so a full disk degrades the run to
+ * journal-less instead of aborting it.  Drivers journal through
+ * JournalSession, which owns the resume and warning policy.
  *
  * Not internally synchronized: callers appending from multiple
  * threads serialize externally.
@@ -153,6 +156,66 @@ struct JournalContents
  * record before the corruption.  Never throws.
  */
 JournalContents readJournal(const std::string &path);
+
+/**
+ * One resumable journal held open for a whole run: the one resume and
+ * failure policy behind the batch runner and the sweep.
+ *
+ * Construction with resume set reads the journal once.  Its first
+ * record is the header, and @p accepts decides whether it binds to
+ * this run; an accepted journal's later records become records(),
+ * and the file is opened after its intact records (openAfter cuts a
+ * torn tail in place, so later commits stay readable).  Any other
+ * journal (fresh run, missing file, rejected header) is truncated and
+ * gets @p header as its first commit.  An empty path disables the
+ * session.
+ *
+ * Each problem warns once, on @p log as "<name>: warning: ..." (name
+ * is @p component after its last '.') and as a Warn event from
+ * @p component: `journal_tail_corrupt` (records after the damage are
+ * re-evaluated), `journal_mismatch` (the header does not bind; start
+ * fresh), `journal_open_failed` and `journal_commit_failed`.  A failed
+ * commit may leave a torn tail, so it closes the journal; the run
+ * goes on without one, and results never depend on the journal.
+ */
+class JournalSession
+{
+  public:
+    using HeaderCheck = std::function<bool(const JsonValue &header)>;
+
+    JournalSession(std::string path, bool resume,
+                   const std::string &header, const HeaderCheck &accepts,
+                   std::string component, std::ostream &log);
+
+    /** Records after an accepted header; empty unless resumed. */
+    const std::vector<std::string> &records() const { return _records; }
+
+    /**
+     * Commit @p payloads with one write(2) and one fsync; a no-op once
+     * the session is closed.  A failure warns and closes it.
+     */
+    void commit(std::span<const std::string> payloads);
+
+    void commit(const std::string &payload)
+    {
+        commit(std::span<const std::string>(&payload, 1));
+    }
+
+    bool isOpen() const { return _writer.isOpen(); }
+
+    /** Journal path as given; empty when the session is disabled. */
+    const std::string &path() const { return _path; }
+
+  private:
+    /** "<name>: warning: <what>" on the log, and a Warn event. */
+    void warn(const char *event, const std::string &what) const;
+
+    std::string _path;
+    std::string _component;
+    std::ostream *_log;
+    JournalWriter _writer;
+    std::vector<std::string> _records;
+};
 
 } // namespace common
 } // namespace mcpat

@@ -54,15 +54,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Append @p what to the item's error field ("; "-joined). */
-void
-recordItemError(BatchItemResult &item, const std::string &what)
-{
-    if (!item.error.empty())
-        item.error += "; ";
-    item.error += what;
-}
-
 /**
  * Write <stem>.diagnostics.json / .csv next to the item's reports so a
  * failing input in a thousand-config batch leaves a machine-readable
@@ -70,8 +61,9 @@ recordItemError(BatchItemResult &item, const std::string &what)
  *
  * A sidecar that cannot be opened or written must not silently drop
  * that record: the failure is appended to the item's diagnostics as a
- * located warning and recorded in its error field, so the summary CSV
- * and the server's batch clients still see it.
+ * located warning (so a failed JSON sidecar shows in the CSV one) and
+ * recorded in its error field, so the summary CSV and the server's
+ * batch clients still see it.
  */
 void
 writeDiagnosticSidecars(BatchItemResult &item, const BatchOptions &opts,
@@ -79,56 +71,46 @@ writeDiagnosticSidecars(BatchItemResult &item, const BatchOptions &opts,
 {
     if (item.diagnostics.empty())
         return;
-    if (opts.writeJson) {
-        const std::string path = out_base.string() + ".diagnostics.json";
-        std::ofstream jf(path);
-        if (jf) {
-            jf << "{\n  \"input\": \"" << jsonEscapeString(item.input)
-               << "\",\n  \"valid\": " << (item.ok ? "true" : "false")
-               << ",\n  \"diagnostics\": ";
-            writeDiagnosticsJson(jf, item.diagnostics, 2);
-            jf << "\n}\n";
-            jf.flush();
+    const auto sidecar = [&](bool wanted, const char *suffix,
+                             const char *key, std::string &written,
+                             const auto &render) {
+        if (!wanted)
+            return;
+        const std::string path = out_base.string() + suffix;
+        std::ofstream f(path);
+        if (f) {
+            render(f);
+            f.flush();
         }
-        if (jf) {
-            item.diagnosticsJsonPath = path;
-        } else {
-            item.diagnostics.add(Severity::Warning, "batch",
-                                 "diagnostics_json",
-                                 "cannot write diagnostics sidecar '" +
-                                     path + "'");
-            recordItemError(item, "cannot write " + path);
-            if (elog::enabled(elog::Level::Warn))
-                elog::emit(elog::Level::Warn, "study.batch",
-                           "sidecar_write_failed",
-                           "cannot write diagnostics sidecar",
-                           {elog::Field::str("path", path),
-                            elog::Field::str("input", item.input)});
+        if (f) {
+            written = path;
+            return;
         }
-    }
-    if (opts.writeCsv) {
-        const std::string path = out_base.string() + ".diagnostics.csv";
-        std::ofstream cf(path);
-        if (cf) {
-            writeDiagnosticsCsv(cf, item.diagnostics);
-            cf.flush();
-        }
-        if (cf) {
-            item.diagnosticsCsvPath = path;
-        } else {
-            item.diagnostics.add(Severity::Warning, "batch",
-                                 "diagnostics_csv",
-                                 "cannot write diagnostics sidecar '" +
-                                     path + "'");
-            recordItemError(item, "cannot write " + path);
-            if (elog::enabled(elog::Level::Warn))
-                elog::emit(elog::Level::Warn, "study.batch",
-                           "sidecar_write_failed",
-                           "cannot write diagnostics sidecar",
-                           {elog::Field::str("path", path),
-                            elog::Field::str("input", item.input)});
-        }
-    }
+        item.diagnostics.add(Severity::Warning, "batch", key,
+                             "cannot write diagnostics sidecar '" + path +
+                                 "'");
+        if (!item.error.empty())
+            item.error += "; ";
+        item.error += "cannot write " + path;
+        if (elog::enabled(elog::Level::Warn))
+            elog::emit(elog::Level::Warn, "study.batch",
+                       "sidecar_write_failed",
+                       "cannot write diagnostics sidecar",
+                       {elog::Field::str("path", path),
+                        elog::Field::str("input", item.input)});
+    };
+    sidecar(opts.writeJson, ".diagnostics.json", "diagnostics_json",
+            item.diagnosticsJsonPath, [&](std::ostream &os) {
+                os << "{\n  \"input\": \"" << jsonEscapeString(item.input)
+                   << "\",\n  \"valid\": " << (item.ok ? "true" : "false")
+                   << ",\n  \"diagnostics\": ";
+                writeDiagnosticsJson(os, item.diagnostics, 2);
+                os << "\n}\n";
+            });
+    sidecar(opts.writeCsv, ".diagnostics.csv", "diagnostics_csv",
+            item.diagnosticsCsvPath, [&](std::ostream &os) {
+                writeDiagnosticsCsv(os, item.diagnostics);
+            });
 }
 
 /**
@@ -268,12 +250,14 @@ writeTextFile(const std::string &path, const std::string &text)
 
 /** The journal's header record: what produced it, under what options. */
 std::string
-journalHeaderPayload(const std::string &listFile, const BatchOptions &opts)
+journalHeaderPayload(const std::string &listFile,
+                     const std::string &listChecksum,
+                     const BatchOptions &opts)
 {
     std::ostringstream os;
     os << "{\"schema\": \"mcpat-batch-journal-v1\", \"list\": \""
        << jsonEscapeString(listFile) << "\", \"list_checksum\": \""
-       << instr::fileChecksumHex(listFile) << "\", \"strict\": "
+       << listChecksum << "\", \"strict\": "
        << (opts.strict ? "true" : "false") << ", \"json\": "
        << (opts.writeJson ? "true" : "false") << ", \"csv\": "
        << (opts.writeCsv ? "true" : "false") << "}";
@@ -343,65 +327,6 @@ parseJournalItem(const std::string &payload, BatchItemResult &item)
 }
 
 /**
- * Journal records completed in an earlier run, keyed by output stem
- * (the stem is a pure function of list order, so it identifies the
- * same work item across runs; the input path is re-checked at replay).
- */
-std::map<std::string, BatchItemResult>
-loadReplayableItems(const std::string &journalPath,
-                    const std::string &listFile, const BatchOptions &opts,
-                    std::ostream &log)
-{
-    std::map<std::string, BatchItemResult> replay;
-    const common::JournalContents j = common::readJournal(journalPath);
-    if (j.tailCorrupt) {
-        log << "batch: warning: journal '" << journalPath
-            << "' has a corrupt tail (" << j.droppedLines
-            << " line(s) dropped); affected items will be "
-               "re-evaluated\n";
-        if (elog::enabled(elog::Level::Warn))
-            elog::emit(elog::Level::Warn, "study.batch",
-                       "journal_tail_corrupt",
-                       "journal has a corrupt tail; affected items "
-                       "will be re-evaluated",
-                       {elog::Field::str("path", journalPath),
-                        elog::Field::num(
-                            "dropped_lines",
-                            static_cast<double>(j.droppedLines))});
-    }
-    if (j.records.empty())
-        return replay;
-
-    common::JsonValue hdr;
-    const bool header_ok = common::jsonParse(j.records.front(), hdr) &&
-        hdr.getString("schema") == "mcpat-batch-journal-v1" &&
-        hdr.getString("list_checksum") ==
-            instr::fileChecksumHex(listFile) &&
-        hdr.getBool("strict") == opts.strict &&
-        hdr.getBool("json") == opts.writeJson &&
-        hdr.getBool("csv") == opts.writeCsv;
-    if (!header_ok) {
-        log << "batch: warning: journal '" << journalPath
-            << "' does not match this run (different list or options); "
-               "starting fresh\n";
-        if (elog::enabled(elog::Level::Warn))
-            elog::emit(elog::Level::Warn, "study.batch",
-                       "journal_mismatch",
-                       "journal does not match this run (different "
-                       "list or options); starting fresh",
-                       {elog::Field::str("path", journalPath),
-                        elog::Field::str("list", listFile)});
-        return replay;
-    }
-    for (std::size_t i = 1; i < j.records.size(); ++i) {
-        BatchItemResult item;
-        if (parseJournalItem(j.records[i], item))
-            replay[item.name] = std::move(item);  // last record wins
-    }
-    return replay;
-}
-
-/**
  * True when every report file the recorded item claims to have written
  * is still on disk — a replayed "ok" must not point at missing output.
  */
@@ -464,46 +389,31 @@ runBatch(const std::string &listFile, const BatchOptions &opts,
     BatchResult result;
 
     // Progress journal: records from a matching earlier run are
-    // replayed; everything else is evaluated and journaled as it
-    // completes, so the *next* resume skips it.
-    const std::string journal_path = opts.journalPath.empty()
-        ? (fs::path(opts.outputDir) / "batch_journal.jsonl").string()
-        : opts.journalPath;
+    // replayed, keyed by output stem (a pure function of list order,
+    // so it names the same work item across runs; the input path is
+    // re-checked at replay).  Everything else is evaluated and
+    // journaled as it completes, so the *next* resume skips it.
+    const std::string list_checksum = instr::fileChecksumHex(listFile);
+    common::JournalSession journal(
+        opts.journalPath.empty()
+            ? (fs::path(opts.outputDir) / "batch_journal.jsonl").string()
+            : opts.journalPath,
+        opts.resume, journalHeaderPayload(listFile, list_checksum, opts),
+        [&](const common::JsonValue &hdr) {
+            return hdr.getString("schema") == "mcpat-batch-journal-v1" &&
+                hdr.getString("list_checksum") == list_checksum &&
+                hdr.getBool("strict") == opts.strict &&
+                hdr.getBool("json") == opts.writeJson &&
+                hdr.getBool("csv") == opts.writeCsv;
+        },
+        "study.batch", log);
+    if (journal.isOpen())
+        result.journalPath = journal.path();
     std::map<std::string, BatchItemResult> replay;
-    if (opts.resume)
-        replay = loadReplayableItems(journal_path, listFile, opts, log);
-
-    common::JournalWriter journal;
-    std::string journal_error;
-    bool journal_warned = false;
-    if (journal.open(journal_path, /*truncate=*/replay.empty(),
-                     &journal_error)) {
-        result.journalPath = journal_path;
-        if (replay.empty() &&
-            !journal.append(journalHeaderPayload(listFile, opts))) {
-            journal_warned = true;
-            log << "batch: warning: cannot write journal header to '"
-                << journal_path << "'; resume will not be available\n";
-            if (elog::enabled(elog::Level::Warn))
-                elog::emit(elog::Level::Warn, "study.batch",
-                           "journal_header_failed",
-                           "cannot write journal header; resume will "
-                           "not be available",
-                           {elog::Field::str("path", journal_path)});
-            journal.close();
-            result.journalPath.clear();
-        }
-    } else {
-        journal_warned = true;
-        log << "batch: warning: " << journal_error
-            << "; resume will not be available\n";
-        if (elog::enabled(elog::Level::Warn))
-            elog::emit(elog::Level::Warn, "study.batch",
-                       "journal_open_failed",
-                       "cannot open journal; resume will not be "
-                       "available",
-                       {elog::Field::str("path", journal_path),
-                        elog::Field::str("error", journal_error)});
+    for (const std::string &record : journal.records()) {
+        BatchItemResult item;
+        if (parseJournalItem(record, item))
+            replay[item.name] = std::move(item);  // last record wins
     }
 
     std::vector<std::string> used_stems;
@@ -629,28 +539,13 @@ runBatch(const std::string &listFile, const BatchOptions &opts,
         // Timeouts *are* journaled: the deadline is deterministic
         // policy, so a resume under the same options keeps the
         // recorded failure instead of burning the budget again.
-        if (journal.isOpen() &&
-            !journal.append(journalItemPayload(item)) &&
-            !journal_warned) {
-            journal_warned = true;
-            log << "batch: warning: cannot append to journal '"
-                << journal_path
-                << "'; resume may re-evaluate recent items\n";
-            if (elog::enabled(elog::Level::Warn))
-                elog::emit(elog::Level::Warn, "study.batch",
-                           "journal_append_failed",
-                           "cannot append to journal; resume may "
-                           "re-evaluate recent items",
-                           {elog::Field::str("path", journal_path),
-                            elog::Field::str("input", item.input)});
-        }
+        journal.commit(journalItemPayload(item));
 
         result.items.push_back(std::move(item));
         progress.tick();
         if (!result.items.back().ok && opts.stopOnError)
             break;
     }
-    journal.close();
     result.wallSeconds = secondsSince(batch_t0);
 
     result.cacheStats = array::ArrayResultCache::instance().stats();

@@ -115,8 +115,8 @@ struct BatchItemResult
     // clock reads per phase are noise next to a model evaluation).
     double loadSeconds = 0.0;      ///< parse + load + validation
     double assembleSeconds = 0.0;  ///< Processor construction (TDP incl.)
-    double reportSeconds = 0.0;    ///< report generation + file writes
-    double wallSeconds = 0.0;      ///< end-to-end for this input
+    double reportSeconds = 0.0;    ///< report build + audit + rendering
+    double wallSeconds = 0.0;      ///< end-to-end, file writes included
 };
 
 /** Outcome of the whole batch. */

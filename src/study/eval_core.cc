@@ -1,6 +1,6 @@
 /**
  * @file
- * Request-evaluation core shared by the CLI, batch runner, and server.
+ * The one evaluation path shared by the CLI, batch runner, and server.
  */
 
 #include "study/eval_core.hh"
@@ -16,6 +16,7 @@
 #include "common/cancel.hh"
 #include "common/instrument.hh"
 #include "common/serialize.hh"
+#include "config/gem5_stats.hh"
 #include "config/xml_loader.hh"
 #include "config/xml_parser.hh"
 
@@ -98,31 +99,44 @@ evaluate(const EvalRequest &req)
                 : "request carries both a config path and inline XML");
         }
 
-        const config::XmlNode root = req.configPath.empty()
-            ? config::parseXmlString(req.configXml)
-            : config::parseXmlFile(req.configPath);
-        config::LoadResult loaded = config::loadSystemParams(root);
-        result.diagnostics = loaded.diagnostics;
-        result.diagnostics.merge(loaded.system.check());
-        result.diagnostics.throwIfErrors("configuration '" + source +
-                                         "'");
-        if (req.strict && result.diagnostics.hasWarnings()) {
-            throw ConfigError(
-                "strict mode: " +
-                std::to_string(result.diagnostics.size()) +
-                " validation warning(s) for '" + source + "'");
+        config::XmlNode root;
+        config::LoadResult loaded;
+        {
+            MCPAT_SPAN("config_load");
+            root = req.configPath.empty()
+                ? config::parseXmlString(req.configXml)
+                : config::parseXmlFile(req.configPath);
+            loaded = config::loadSystemParams(root);
+        }
+        {
+            MCPAT_SPAN("validate");
+            result.diagnostics = loaded.diagnostics;
+            result.diagnostics.merge(loaded.system.check());
+            result.diagnostics.throwIfErrors("configuration '" + source +
+                                             "'");
+            if (req.strict && result.diagnostics.hasWarnings()) {
+                throw ConfigError(
+                    "strict mode: " +
+                    std::to_string(result.diagnostics.size()) +
+                    " validation warning(s) for '" + source + "'");
+            }
         }
         result.loadSeconds = secondsSince(t0);
         cancel::checkpoint();
 
         const auto assemble_t0 = std::chrono::steady_clock::now();
         chip::Processor proc(loaded.system);
-        const stats::ChipStats rt =
-            config::loadChipStats(root, loaded.system);
+        const stats::ChipStats rt = req.gem5StatsPath.empty()
+            ? config::loadChipStats(root, loaded.system)
+            : config::gem5ToChipStats(
+                  config::parseGem5StatsFile(req.gem5StatsPath),
+                  loaded.system);
+        result.meetsTiming = proc.meetsTiming();
         result.assembleSeconds = secondsSince(assemble_t0);
         cancel::checkpoint();
 
         const auto report_t0 = std::chrono::steady_clock::now();
+        MCPAT_SPAN("report");
         result.report = proc.makeReport(rt);
         result.area = result.report.area;
         result.peakPower = result.report.peakPower();
@@ -159,10 +173,10 @@ evaluate(const EvalRequest &req)
         result.timedOut = e.kind() == cancel::Kind::Timeout;
         result.interrupted = e.kind() == cancel::Kind::Interrupt;
     } catch (const ValidationError &e) {
-        // Keep the per-key context: when the throw came from the
-        // request's own merged list (cross-field errors) the
-        // diagnostics are already present.
-        if (result.diagnostics.empty())
+        // Keep the per-key context.  A throw from the request's own
+        // merged list (cross-field errors) is already present; one from
+        // the runtime statistics follows the load's warnings.
+        if (!result.diagnostics.hasErrors())
             result.diagnostics.merge(e.diagnostics());
         result.ok = false;
         result.error = e.what();

@@ -1,15 +1,19 @@
 /**
  * @file
- * Reusable request-evaluation core: one configuration in, one report
- * (plus diagnostics, timing, and an optional manifest) out.
+ * The one evaluation path: one configuration in, one report (plus
+ * diagnostics, timing, and an optional manifest) out.
  *
- * This is the load -> validate -> assemble -> report path that used to
- * live inline in study::runBatch, factored out so every front end — the
- * single-shot CLI, the batch runner, and the `-serve` daemon — shares
- * one code path.  The core never touches the filesystem for *output*
- * (callers decide where rendered reports go) and never writes to
- * global logs; everything it learns about a request comes back in the
- * EvalResult.
+ * Every front end evaluates through evaluate(): the single-shot CLI,
+ * the batch runner, and the `-serve` daemon.  It runs load ->
+ * validate -> assemble -> report -> audit under the phase spans
+ * `config_load`, `validate`, `assemble` (with its `array.optimize`
+ * and `tdp` children) and `report`, so every front end's trace shows
+ * the same phases.  The core never touches the filesystem for
+ * *output* (callers decide where rendered reports go) and never
+ * writes to global logs; everything it learns about a request comes
+ * back in the EvalResult.  What stays in a front end is only its own:
+ * the CLI's text report, `-thermal` and exit codes, the batch's files
+ * and journal, the server's protocol and result cache.
  *
  * Thread safety: evaluate() may be called concurrently from multiple
  * threads.  All shared state it reaches (array memo cache, disk cache
@@ -44,6 +48,13 @@ struct EvalRequest
 
     /** Treat validation warnings as failures (CLI -strict). */
     bool strict = false;
+
+    /**
+     * A gem5 stats.txt supplying the runtime activity instead of the
+     * config's own <stat> entries (the CLI's -gem5_stats).  Empty
+     * uses the config.
+     */
+    std::string gem5StatsPath;
 
     /**
      * Render the report tree as the canonical JSON document
@@ -98,6 +109,9 @@ struct EvalResult
     double area = 0.0;          ///< m^2
     double peakPower = 0.0;     ///< W
     double runtimePower = 0.0;  ///< W
+
+    /** Every core structure fits in one clock (valid when ok). */
+    bool meetsTiming = false;
 
     // Per-request wall-clock breakdown, seconds.
     double loadSeconds = 0.0;      ///< parse + load + validation

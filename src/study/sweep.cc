@@ -17,7 +17,6 @@
 #include "chip/processor.hh"
 #include "common/cancel.hh"
 #include "common/diagnostics.hh"
-#include "common/event_log.hh"
 #include "common/instrument.hh"
 #include "common/json_value.hh"
 #include "common/parallel.hh"
@@ -396,75 +395,41 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
  *  chunk. */
 constexpr std::size_t kMaxPointsPerCommit = 64;
 
-/** Tell the log and the event log that resume will not be available. */
-void
-warnNoResume(const char *event, const std::string &what,
-             const std::string &path)
-{
-    std::cerr << "sweep: warning: " << what
-              << "; resume will not be available\n";
-    if (elog::enabled(elog::Level::Warn))
-        elog::emit(elog::Level::Warn, "study.sweep", event,
-                   what + "; resume will not be available",
-                   {elog::Field::str("path", path)});
-}
-
 } // namespace
 
 SweepJournalSession::SweepJournalSession(const SweepJournalOptions &journal,
                                          double work)
-    : _work(work), _path(journal.path)
+    : _work(work),
+      _journal(journal.path, journal.resume,
+               "{\"schema\": \"mcpat-sweep-journal-v2\", \"work\": " +
+                   jsonRoundTrip(work) + "}",
+               [work](const common::JsonValue &hdr) {
+                   return hdr.getString("schema") ==
+                              "mcpat-sweep-journal-v2" &&
+                       journalWorkMatches(hdr, work);
+               },
+               "study.sweep", std::cerr)
 {
-    if (_path.empty())
-        return;
-
-    // Resume: read and validate the journal once, keeping its points
-    // (keyed by the canonical design-point key) for replay.
-    common::JournalContents j;
-    bool resumed = false;
-    if (journal.resume) {
-        j = common::readJournal(_path);
-        common::JsonValue hdr;
-        resumed = !j.records.empty() &&
-            common::jsonParse(j.records.front(), hdr) &&
-            hdr.getString("schema") == "mcpat-sweep-journal-v2" &&
-            journalWorkMatches(hdr, work);
+    // A resumed journal's points, keyed by the canonical design-point
+    // key, are the replay set.
+    for (const std::string &record : _journal.records()) {
+        common::JsonValue v;
+        if (!common::jsonParse(record, v) || v.getString("type") != "point")
+            continue;
+        DesignPointResult r;
+        r.aggregatesOnly = true;
+        // Journaled nulls (non-finite figures) replay as NaN, matching
+        // what a fresh evaluation would produce.
+        r.area = v.getNumber("area", kNaN);
+        r.tdp = v.getNumber("tdp", kNaN);
+        r.meanThroughput = v.getNumber("mean_throughput", kNaN);
+        r.meanPower = v.getNumber("mean_power", kNaN);
+        r.meanMetrics.ed = v.getNumber("ed", kNaN);
+        r.meanMetrics.ed2 = v.getNumber("ed2", kNaN);
+        r.meanMetrics.eda = v.getNumber("eda", kNaN);
+        r.meanMetrics.ed2a = v.getNumber("ed2a", kNaN);
+        _replay[v.getString("key")] = std::move(r);
     }
-    if (resumed) {
-        for (std::size_t i = 1; i < j.records.size(); ++i) {
-            common::JsonValue v;
-            if (!common::jsonParse(j.records[i], v) ||
-                v.getString("type") != "point")
-                continue;
-            DesignPointResult r;
-            r.aggregatesOnly = true;
-            // Journaled nulls (non-finite figures) replay as NaN,
-            // matching what a fresh evaluation would produce.
-            r.area = v.getNumber("area", kNaN);
-            r.tdp = v.getNumber("tdp", kNaN);
-            r.meanThroughput = v.getNumber("mean_throughput", kNaN);
-            r.meanPower = v.getNumber("mean_power", kNaN);
-            r.meanMetrics.ed = v.getNumber("ed", kNaN);
-            r.meanMetrics.ed2 = v.getNumber("ed2", kNaN);
-            r.meanMetrics.eda = v.getNumber("eda", kNaN);
-            r.meanMetrics.ed2a = v.getNumber("ed2a", kNaN);
-            _replay[v.getString("key")] = std::move(r);
-        }
-    }
-
-    // A resumed journal is appended to after its intact records (a
-    // torn tail is cut off in place); any other starts from a header.
-    std::string error;
-    const bool opened = resumed
-        ? _writer.openAfter(_path, j, &error)
-        : _writer.open(_path, /*truncate=*/true, &error);
-    if (!opened) {
-        warnNoResume("journal_open_failed", error, _path);
-        return;
-    }
-    if (!resumed)
-        commit({"{\"schema\": \"mcpat-sweep-journal-v2\", \"work\": " +
-                jsonRoundTrip(work) + "}"});
 }
 
 std::vector<DesignPointResult>
@@ -477,7 +442,7 @@ SweepJournalSession::evaluateRound(
     // has stopped it, so a kill loses at most the chunk in flight and
     // an exception loses no point that finished.
     std::vector<DesignPointResult> results(configs.size());
-    const bool journaling = _writer.isOpen();
+    const bool journaling = _journal.isOpen();
     instr::ProgressMeter progress("sweep", configs.size());
     for (std::size_t begin = 0; begin < configs.size();
          begin += kMaxPointsPerCommit) {
@@ -504,29 +469,21 @@ SweepJournalSession::evaluateRound(
             }
             progress.tick();
         };
+        // An empty slot is a replayed point, or one an exception
+        // stopped.
+        const auto commit = [&] {
+            std::erase(records, std::string());
+            _journal.commit(records);
+        };
         try {
             parallel::parallelFor(n, evaluate);
         } catch (...) {
-            commit(std::move(records));
+            commit();
             throw;
         }
-        commit(std::move(records));
+        commit();
     }
     return results;
-}
-
-void
-SweepJournalSession::commit(std::vector<std::string> slots)
-{
-    // An empty slot is a replayed point, or one an exception stopped.
-    std::erase(slots, std::string());
-    if (_writer.isOpen() && !_writer.append(slots)) {
-        // A failed write may leave a torn tail; anything appended after
-        // it would be unreadable, so stop journaling.
-        _writer.close();
-        warnNoResume("journal_commit_failed",
-                     "cannot commit to journal '" + _path + "'", _path);
-    }
 }
 
 std::vector<DesignPointResult>

@@ -154,14 +154,14 @@ struct SweepJournalOptions
  * search, so an interrupted run resumes without redoing finished
  * points.
  *
- * On construction, with resume set, the journal is read and validated
- * once: the header must carry the schema and bind the `work` value by
- * its max_digits10 round-trip representation (JSON null for a
- * non-finite work), so a journal matches exactly when the value it
- * was built with matches.  Its points become the replay set.  The file
- * is then opened once.  A resumed journal is appended to after its
- * intact records (a torn tail is cut off in place, never rewritten);
- * any other is truncated and gets a fresh header.
+ * The journal is a common::JournalSession: with resume set it is read
+ * once, and it binds when its header carries the schema and the
+ * `work` value by its max_digits10 round-trip representation (JSON
+ * null for a non-finite work), so a journal matches exactly when the
+ * value it was built with matches.  Its points become the replay set,
+ * and it is appended to after its intact records (a torn tail is cut
+ * off in place, never rewritten); any other journal is truncated and
+ * gets a fresh header.
  *
  * Each evaluateRound() commits that round's freshly evaluated points
  * in one write(2) and one fsync once the round is done, in @p configs
@@ -172,9 +172,10 @@ struct SweepJournalOptions
  * deterministic at any thread count: the header, then each round's
  * fresh points in index order.
  *
- * A journal that cannot be opened or committed to warns once (stderr
- * and the event log, component "study.sweep") and the sweep runs on
- * without it; results never depend on the journal.
+ * A torn tail, a mismatched header, or a journal that cannot be
+ * opened or committed to warns once (stderr and the event log,
+ * component "study.sweep"); the sweep runs on without what it lost,
+ * and results never depend on the journal.
  */
 class SweepJournalSession
 {
@@ -189,16 +190,9 @@ class SweepJournalSession
     evaluateRound(const std::vector<CaseStudyConfig> &configs);
 
   private:
-    /**
-     * Append the non-empty @p slots as one commit.  A failure warns
-     * and closes the journal, so the session warns at most once.
-     */
-    void commit(std::vector<std::string> slots);
-
     double _work;
-    std::string _path;
+    common::JournalSession _journal;
     std::map<std::string, DesignPointResult> _replay;
-    common::JournalWriter _writer;
 };
 
 /**

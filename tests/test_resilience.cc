@@ -25,6 +25,7 @@
 
 #include "chip/invariant_audit.hh"
 #include "common/cancel.hh"
+#include "common/event_log.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
 #include "study/batch.hh"
@@ -112,6 +113,27 @@ maskSummaryTiming(const std::string &csv)
         out << row.str() << "\n";
     }
     return out.str();
+}
+
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + needle.size()))
+        ++n;
+    return n;
+}
+
+/** The event-log line recording @p event; empty when there is none. */
+std::string
+eventLine(const std::string &events, const std::string &event)
+{
+    const std::size_t at = events.find("\"" + event + "\"");
+    if (at == std::string::npos)
+        return "";
+    const std::size_t begin = events.rfind('\n', at) + 1;
+    return events.substr(begin, events.find('\n', at) - begin);
 }
 
 /** True when any diagnostic key starts with "invariant.". */
@@ -491,6 +513,106 @@ TEST(BatchResume, MismatchedJournalHeaderStartsFresh)
     EXPECT_TRUE(second.ok()) << log2.str();
     EXPECT_EQ(second.resumed, 0u);
     EXPECT_EQ(second.items.size(), 2u);
+    fs::remove_all(dir);
+}
+
+TEST(BatchResume, TornTailResumeKeepsLaterRecordsReadable)
+{
+    const fs::path dir = scratchDir("resume_torn");
+    const std::string list = writeList(dir,
+        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+
+    study::BatchOptions opts;
+    opts.outputDir = (dir / "out").string();
+    std::ostringstream log1;
+    const auto fresh = study::runBatch(list, opts, log1);
+    ASSERT_TRUE(fresh.ok()) << log1.str();
+
+    // Cut the last record in half, as a kill inside its write would.
+    const std::string journal = slurp(fresh.journalPath);
+    const std::size_t last = journal.rfind('\n', journal.size() - 2) + 1;
+    fs::resize_file(fresh.journalPath,
+                    last + (journal.size() - last) / 2);
+
+    const fs::path events = dir / "events.jsonl";
+    ASSERT_TRUE(elog::open(events.string()));
+    study::BatchOptions resumeOpts = opts;
+    resumeOpts.resume = true;
+    std::ostringstream log2;
+    const auto first = study::runBatch(list, resumeOpts, log2);
+    elog::close();
+    EXPECT_TRUE(first.ok()) << log2.str();
+    EXPECT_EQ(first.resumed, 1u);
+    EXPECT_EQ(countOf(log2.str(), "batch: warning: "), 1u) << log2.str();
+    EXPECT_NE(log2.str().find("corrupt tail (1 line(s) dropped)"),
+              std::string::npos)
+        << log2.str();
+    const std::string slurped = slurp(events.string());
+    EXPECT_EQ(countOf(slurped, "\"journal_tail_corrupt\""), 1u) << slurped;
+    EXPECT_NE(eventLine(slurped, "journal_tail_corrupt")
+                  .find("\"study.batch\""),
+              std::string::npos)
+        << slurped;
+
+    // The first resume cut the torn half-line before it committed the
+    // item it re-evaluated, so the second replays both items and finds
+    // nothing to warn about.
+    std::ostringstream log3;
+    const auto second = study::runBatch(list, resumeOpts, log3);
+    EXPECT_TRUE(second.ok()) << log3.str();
+    EXPECT_EQ(second.resumed, 2u);
+    EXPECT_EQ(log3.str().find("warning"), std::string::npos) << log3.str();
+    EXPECT_FALSE(common::readJournal(fresh.journalPath).tailCorrupt);
+    fs::remove_all(dir);
+}
+
+TEST(BatchResume, FailedJournalCommitWarnsOnceAndKeepsResults)
+{
+    // Every write to /dev/full fails with ENOSPC after a successful
+    // open: the disk-full case.
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    const fs::path dir = scratchDir("journal_full");
+    const std::string list = writeList(dir,
+        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+
+    study::BatchOptions opts;
+    opts.outputDir = (dir / "reference").string();
+    std::ostringstream ref_log;
+    const auto reference = study::runBatch(list, opts, ref_log);
+    ASSERT_TRUE(reference.ok()) << ref_log.str();
+
+    const fs::path events = dir / "events.jsonl";
+    ASSERT_TRUE(elog::open(events.string()));
+    opts.outputDir = (dir / "out").string();
+    opts.journalPath = "/dev/full";
+    std::ostringstream log;
+    const auto res = study::runBatch(list, opts, log);
+    elog::close();
+
+    EXPECT_TRUE(res.ok()) << log.str();
+    EXPECT_TRUE(res.journalPath.empty());
+    EXPECT_EQ(countOf(log.str(), "batch: warning: "), 1u) << log.str();
+    EXPECT_NE(log.str().find("resume will not be available"),
+              std::string::npos)
+        << log.str();
+    const std::string slurped = slurp(events.string());
+    EXPECT_EQ(countOf(slurped, "\"journal_commit_failed\""), 1u)
+        << slurped;
+    EXPECT_NE(eventLine(slurped, "journal_commit_failed")
+                  .find("\"study.batch\""),
+              std::string::npos)
+        << slurped;
+
+    ASSERT_EQ(res.items.size(), reference.items.size());
+    for (std::size_t i = 0; i < res.items.size(); ++i) {
+        EXPECT_EQ(slurp(res.items[i].jsonPath),
+                  slurp(reference.items[i].jsonPath));
+        EXPECT_EQ(slurp(res.items[i].csvPath),
+                  slurp(reference.items[i].csvPath));
+    }
+    EXPECT_EQ(maskSummaryTiming(slurp(res.summaryCsvPath)),
+              maskSummaryTiming(slurp(reference.summaryCsvPath)));
     fs::remove_all(dir);
 }
 

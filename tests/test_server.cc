@@ -213,6 +213,75 @@ TEST(EvalCore, InvalidConfigYieldsLocatedDiagnostics)
     EXPECT_TRUE(res.diagnostics.hasErrors());
 }
 
+TEST(EvalCore, RuntimeStatErrorsFollowLoadWarnings)
+{
+    std::ifstream in(findConfig("niagara_runtime.xml"));
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::string xml = ss.str();
+    // A load warning (commit wider than issue) and a malformed stat.
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{
+              "name=\"commit_width\" value=\"1\"",
+              "name=\"commit_width\" value=\"8\""},
+          {"name=\"total_cycles\" value=\"10000000\"",
+           "name=\"total_cycles\" value=\"lots\""}}) {
+        const std::size_t at = xml.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        xml.replace(at, from.size(), to);
+    }
+    study::EvalRequest req;
+    req.configXml = xml;
+    const study::EvalResult res = study::evaluate(req);
+    EXPECT_FALSE(res.ok);
+    // The stat error joins the warning instead of being dropped.
+    bool warned = false, stat_error = false;
+    for (const auto &d : res.diagnostics) {
+        warned |= d.key == "commit_width";
+        stat_error |= d.severity == Severity::Error &&
+                      d.key == "total_cycles";
+    }
+    EXPECT_TRUE(warned) << res.error;
+    EXPECT_TRUE(stat_error) << res.error;
+}
+
+TEST(EvalCore, Gem5StatsReplaceTheConfigActivity)
+{
+    const std::string stats_path =
+        (std::filesystem::temp_directory_path() /
+         ("mcpat_eval_gem5_" + std::to_string(::getpid()) + ".txt"))
+            .string();
+    {
+        std::ofstream out(stats_path);
+        out << "---------- Begin Simulation Statistics ----------\n"
+               "system.cpu0.numCycles 2000000\n"
+               "system.cpu0.committedInsts 600000\n"
+               "system.cpu0.num_int_insts 400000\n"
+               "system.cpu0.num_loads 100000\n"
+               "system.cpu0.num_stores 50000\n"
+               "---------- End Simulation Statistics   ----------\n";
+    }
+    study::EvalRequest req;
+    req.configPath = findConfig("niagara.xml");
+    const study::EvalResult plain = study::evaluate(req);
+    req.gem5StatsPath = stats_path;
+    const study::EvalResult gem5 = study::evaluate(req);
+    std::filesystem::remove(stats_path);
+    ASSERT_TRUE(plain.ok) << plain.error;
+    ASSERT_TRUE(gem5.ok) << gem5.error;
+    EXPECT_TRUE(gem5.meetsTiming);
+    // Activity moves only the runtime figures.
+    EXPECT_EQ(gem5.area, plain.area);
+    EXPECT_EQ(gem5.peakPower, plain.peakPower);
+    EXPECT_NE(gem5.runtimePower, plain.runtimePower);
+
+    req.gem5StatsPath = stats_path;  // now removed
+    const study::EvalResult missing = study::evaluate(req);
+    EXPECT_FALSE(missing.ok);
+    EXPECT_NE(missing.error.find(stats_path), std::string::npos)
+        << missing.error;
+}
+
 // ---------------------------------------------------------------------
 // Server.
 // ---------------------------------------------------------------------

@@ -6,7 +6,8 @@
  * frontier-identity contract against the exhaustive grid, and its
  * journal: deterministic bytes at any thread count, bit-identical
  * resume after a crash between rounds or an exception inside one, and
- * journal failures that warn once without changing results.
+ * journal problems (a torn tail, a mismatched header, an unopenable
+ * file, a failed commit) that warn once without changing results.
  */
 
 #include <gtest/gtest.h>
@@ -211,6 +212,17 @@ countOf(const std::string &text, const std::string &needle)
     return n;
 }
 
+/** The event-log line recording @p event; empty when there is none. */
+std::string
+eventLine(const std::string &events, const std::string &event)
+{
+    const std::size_t at = events.find("\"" + event + "\"");
+    if (at == std::string::npos)
+        return "";
+    const std::size_t begin = events.rfind('\n', at) + 1;
+    return events.substr(begin, events.find('\n', at) - begin);
+}
+
 /** Same points, figures bit for bit, same frontier, same rounds. */
 void
 expectSameSearch(const SweepSearchResult &a, const SweepSearchResult &b)
@@ -254,23 +266,19 @@ struct ThreadCountGuard
 };
 
 /**
- * A search journaling to @p journal_path, which cannot be opened or
- * committed to, must warn exactly once (stderr and an @p event record
- * in the event log) and return the journal-less search's results.
+ * A search under @p opts must warn exactly once (a stderr line holding
+ * @p phrase, and an @p event record from study.sweep in the event log)
+ * and return @p expected's results.
  */
 void
-expectJournalFailureWarnsOnce(const std::string &journal_path,
-                              const std::string &event)
+expectSearchWarnsOnce(const SweepSpace &space,
+                      const SweepSearchOptions &opts,
+                      const SweepSearchResult &expected,
+                      const std::string &event, const std::string &phrase)
 {
-    const SweepSpace space = tinySpace();
-    const SweepSearchResult expected =
-        runSweepSearch(space, SweepSearchOptions{});
-
-    const fs::path dir = scratchDir("journal_failure");
+    const fs::path dir = scratchDir("journal_warning");
     const std::string log_path = (dir / "events.jsonl").string();
     ASSERT_TRUE(elog::open(log_path));
-    SweepSearchOptions opts;
-    opts.journal.path = journal_path;
     std::string warning;
     SweepSearchResult r;
     {
@@ -282,13 +290,29 @@ expectJournalFailureWarnsOnce(const std::string &journal_path,
 
     expectSameSearch(r, expected);
     EXPECT_EQ(countOf(warning, "sweep: warning: "), 1u) << warning;
-    EXPECT_NE(warning.find("resume will not be available"),
-              std::string::npos)
-        << warning;
+    EXPECT_NE(warning.find(phrase), std::string::npos) << warning;
     const std::string events = slurp(log_path);
-    EXPECT_EQ(countOf(events, event), 1u) << events;
-    EXPECT_NE(events.find("study.sweep"), std::string::npos) << events;
+    EXPECT_EQ(countOf(events, "\"" + event + "\""), 1u) << events;
+    EXPECT_NE(eventLine(events, event).find("\"study.sweep\""),
+              std::string::npos)
+        << events;
     fs::remove_all(dir);
+}
+
+/**
+ * A search journaling to @p journal_path, which cannot be opened or
+ * committed to, warns once and returns the journal-less results.
+ */
+void
+expectJournalFailureWarnsOnce(const std::string &journal_path,
+                              const std::string &event)
+{
+    const SweepSpace space = tinySpace();
+    SweepSearchOptions opts;
+    opts.journal.path = journal_path;
+    expectSearchWarnsOnce(space, opts,
+                          runSweepSearch(space, SweepSearchOptions{}),
+                          event, "resume will not be available");
 }
 
 } // namespace
@@ -424,6 +448,57 @@ TEST(SweepSearch, FailedCommitWarnsOnceAndKeepsResults)
     if (!fs::exists("/dev/full"))
         GTEST_SKIP() << "no /dev/full on this platform";
     expectJournalFailureWarnsOnce("/dev/full", "journal_commit_failed");
+}
+
+TEST(SweepSearch, MismatchedJournalWarnsOnceAndStartsFresh)
+{
+    const fs::path dir = scratchDir("mismatch");
+    const SweepSpace space = tinySpace();
+    SweepSearchOptions opts;
+    opts.journal.path = (dir / "sweep_journal.jsonl").string();
+    opts.work = 2.0e12;
+    runSweepSearch(space, opts);
+
+    // The journal binds work = 2e12; resuming under the default work
+    // must replay nothing and rewrite the journal for this run.
+    opts.work = SweepSearchOptions{}.work;
+    opts.journal.resume = true;
+    const SweepSearchResult fresh =
+        runSweepSearch(space, SweepSearchOptions{});
+    expectSearchWarnsOnce(space, opts, fresh, "journal_mismatch",
+                          "does not match this run");
+    opts.journal.resume = false;
+    const fs::path reference = dir / "reference.jsonl";
+    SweepSearchOptions ref = opts;
+    ref.journal.path = reference.string();
+    runSweepSearch(space, ref);
+    EXPECT_EQ(slurp(opts.journal.path), slurp(reference));
+    fs::remove_all(dir);
+}
+
+TEST(SweepSearch, TornJournalTailWarnsOnceAndResumes)
+{
+    const fs::path dir = scratchDir("torn");
+    const SweepSpace space = tinySpace();
+    SweepSearchOptions opts;
+    opts.journal.path = (dir / "sweep_journal.jsonl").string();
+    const SweepSearchResult full = runSweepSearch(space, opts);
+    const std::string full_journal = slurp(opts.journal.path);
+
+    // Cut the last record in half, as a kill inside a commit would.
+    const std::vector<std::string> lines = readLines(opts.journal.path);
+    {
+        std::ofstream out(opts.journal.path, std::ios::trunc);
+        for (std::size_t i = 0; i + 1 < lines.size(); ++i)
+            out << lines[i] << "\n";
+        out << lines.back().substr(0, lines.back().size() / 2);
+    }
+    opts.journal.resume = true;
+    expectSearchWarnsOnce(space, opts, full, "journal_tail_corrupt",
+                          "corrupt tail (1 line(s) dropped)");
+    // The resume cut the torn half-line and recommitted its point.
+    EXPECT_EQ(slurp(opts.journal.path), full_journal);
+    fs::remove_all(dir);
 }
 
 TEST(SweepSearch, WritersEmitFrontierAndFlags)
