@@ -6,7 +6,6 @@
 #include "chip/report_writer.hh"
 
 #include <cmath>
-#include <iomanip>
 
 #include "common/diagnostics.hh"
 #include "common/units.hh"
@@ -35,72 +34,96 @@ reportAllFinite(const Report &r)
     return true;
 }
 
+/** `<indent>  "<name>": <number>,` — one numeric member of a node. */
 void
-writeJsonNode(std::ostream &os, const Report &r, int indent,
-              const bool *root_valid = nullptr,
-              const std::string *instrumentation = nullptr)
+appendJsonMember(std::string &out, int indent, const char *name,
+                 double v)
 {
-    const std::string pad(indent, ' ');
-    os << pad << "{\n";
-    if (root_valid) {
-        os << pad << "  \"valid\": " << (*root_valid ? "true" : "false")
-           << ",\n";
-    }
-    if (instrumentation && !instrumentation->empty()) {
-        os << pad << "  \"instrumentation\":\n" << *instrumentation
-           << ",\n";
-    }
-    os << pad << "  \"name\": \"" << jsonEscapeString(r.name) << "\",\n";
-    os << pad << "  \"area_mm2\": ";
-    writeJsonNumber(os, r.area / mm2);
-    os << ",\n" << pad << "  \"peak_dynamic_w\": ";
-    writeJsonNumber(os, r.peakDynamic);
-    os << ",\n" << pad << "  \"runtime_dynamic_w\": ";
-    writeJsonNumber(os, r.runtimeDynamic);
-    os << ",\n" << pad << "  \"subthreshold_leakage_w\": ";
-    writeJsonNumber(os, r.subthresholdLeakage);
-    os << ",\n" << pad << "  \"runtime_subthreshold_leakage_w\": ";
-    writeJsonNumber(os, r.runtimeSubLeak());
-    os << ",\n" << pad << "  \"gate_leakage_w\": ";
-    writeJsonNumber(os, r.gateLeakage);
-    os << ",\n" << pad << "  \"critical_path_ns\": ";
-    writeJsonNumber(os, r.criticalPath / ns);
-    os << ",\n" << pad << "  \"children\": [";
-    if (r.children.empty()) {
-        os << "]\n";
-    } else {
-        os << "\n";
-        for (std::size_t i = 0; i < r.children.size(); ++i) {
-            writeJsonNode(os, r.children[i], indent + 4);
-            os << (i + 1 < r.children.size() ? ",\n" : "\n");
-        }
-        os << pad << "  ]\n";
-    }
-    os << pad << "}";
+    out.append(indent + 2, ' ');
+    out += '"';
+    out += name;
+    out += "\": ";
+    appendJsonNumber(out, v, kRoundTripPrecision);
+    out += ",\n";
 }
 
 void
-writeCsvNode(std::ostream &os, const Report &r, const std::string &path)
+appendJsonNode(std::string &out, const Report &r, int indent,
+               const bool *root_valid = nullptr,
+               const std::string *instrumentation = nullptr)
 {
-    const std::string full =
-        path.empty() ? r.name : path + "/" + r.name;
-    os << csvEscapeField(full) << ',';
-    writeCsvNumber(os, r.area / mm2);
-    os << ',';
-    writeCsvNumber(os, r.peakDynamic);
-    os << ',';
-    writeCsvNumber(os, r.runtimeDynamic);
-    os << ',';
-    writeCsvNumber(os, r.subthresholdLeakage);
-    os << ',';
-    writeCsvNumber(os, r.runtimeSubLeak());
-    os << ',';
-    writeCsvNumber(os, r.gateLeakage);
-    os << ',';
-    writeCsvNumber(os, r.criticalPath / ns);
-    os << '\n';
+    out.append(indent, ' ');
+    out += "{\n";
+    if (root_valid) {
+        out.append(indent, ' ');
+        out += *root_valid ? "  \"valid\": true,\n"
+                           : "  \"valid\": false,\n";
+    }
+    if (instrumentation && !instrumentation->empty()) {
+        out.append(indent, ' ');
+        out += "  \"instrumentation\":\n";
+        out += *instrumentation;
+        out += ",\n";
+    }
+    out.append(indent, ' ');
+    out += "  \"name\": \"";
+    appendJsonEscaped(out, r.name);
+    out += "\",\n";
+    appendJsonMember(out, indent, "area_mm2", r.area / mm2);
+    appendJsonMember(out, indent, "peak_dynamic_w", r.peakDynamic);
+    appendJsonMember(out, indent, "runtime_dynamic_w", r.runtimeDynamic);
+    appendJsonMember(out, indent, "subthreshold_leakage_w",
+                     r.subthresholdLeakage);
+    appendJsonMember(out, indent, "runtime_subthreshold_leakage_w",
+                     r.runtimeSubLeak());
+    appendJsonMember(out, indent, "gate_leakage_w", r.gateLeakage);
+    appendJsonMember(out, indent, "critical_path_ns", r.criticalPath / ns);
+    out.append(indent, ' ');
+    out += "  \"children\": [";
+    if (r.children.empty()) {
+        out += "]\n";
+    } else {
+        out += "\n";
+        for (std::size_t i = 0; i < r.children.size(); ++i) {
+            appendJsonNode(out, r.children[i], indent + 4);
+            out += i + 1 < r.children.size() ? ",\n" : "\n";
+        }
+        out.append(indent, ' ');
+        out += "  ]\n";
+    }
+    out.append(indent, ' ');
+    out += "}";
+}
+
+/** One numeric CSV cell: empty when non-finite (see writeCsvNumber). */
+void
+appendCsvCell(std::string &out, double v)
+{
+    out += ',';
+    if (std::isfinite(v))
+        appendNumber(out, v, kRoundTripPrecision);
+}
+
+/** One row per node; @p path holds the parent's slash-joined path. */
+void
+appendCsvNode(std::string &out, const Report &r, std::string &path)
+{
+    const std::size_t parent_len = path.size();
+    if (parent_len)
+        path += '/';
+    path += r.name;
+    appendCsvField(out, path);
+    appendCsvCell(out, r.area / mm2);
+    appendCsvCell(out, r.peakDynamic);
+    appendCsvCell(out, r.runtimeDynamic);
+    appendCsvCell(out, r.subthresholdLeakage);
+    appendCsvCell(out, r.runtimeSubLeak());
+    appendCsvCell(out, r.gateLeakage);
+    appendCsvCell(out, r.criticalPath / ns);
+    out += '\n';
     for (const auto &c : r.children)
-        writeCsvNode(os, c, full);
+        appendCsvNode(out, c, path);
+    path.resize(parent_len);
 }
 
 } // namespace
@@ -108,42 +131,59 @@ writeCsvNode(std::ostream &os, const Report &r, const std::string &path)
 void
 writeCsvNumber(std::ostream &os, double v)
 {
-    if (std::isfinite(v))
-        os << v;
     // Non-finite: leave the field empty.  operator<< would print
     // "nan"/"inf", which CSV consumers (pandas, spreadsheet imports)
     // either reject or silently coerce to strings; an empty field is
     // the conventional "missing value" both handle.
+    if (!std::isfinite(v))
+        return;
+    std::string cell;
+    appendNumber(cell, v, static_cast<int>(os.precision()));
+    os << cell;
+}
+
+// Each thread renders into its own scratch string, which keeps the
+// capacity of the largest document it has rendered, and the caller gets
+// an exact-size copy: results keep their documents (the server caches
+// hundreds), so no slack outlives the call and no render reallocates
+// once the scratch has grown.
+
+std::string
+renderReportJson(const Report &report,
+                 const std::string *instrumentation)
+{
+    thread_local std::string out;
+    out.clear();
+    const bool all_finite = reportAllFinite(report);
+    appendJsonNode(out, report, 0, &all_finite, instrumentation);
+    out += "\n";
+    return out;
+}
+
+std::string
+renderReportCsv(const Report &report)
+{
+    thread_local std::string out;
+    out.clear();
+    out += "path,area_mm2,peak_dynamic_w,runtime_dynamic_w,"
+           "subthreshold_leakage_w,runtime_subthreshold_leakage_w,"
+           "gate_leakage_w,critical_path_ns\n";
+    std::string path;
+    appendCsvNode(out, report, path);
+    return out;
 }
 
 void
 writeReportJson(std::ostream &os, const Report &report,
                 const std::string *instrumentation)
 {
-    const auto flags = os.flags();
-    const auto precision = os.precision();
-    // max_digits10: doubles survive a write/parse round trip exactly,
-    // so cached and freshly computed reports diff bit-identically.
-    os << std::setprecision(17);
-    const bool all_finite = reportAllFinite(report);
-    writeJsonNode(os, report, 0, &all_finite, instrumentation);
-    os << "\n";
-    os.flags(flags);
-    os.precision(precision);
+    os << renderReportJson(report, instrumentation);
 }
 
 void
 writeReportCsv(std::ostream &os, const Report &report)
 {
-    const auto flags = os.flags();
-    const auto precision = os.precision();
-    os << std::setprecision(17);
-    os << "path,area_mm2,peak_dynamic_w,runtime_dynamic_w,"
-          "subthreshold_leakage_w,runtime_subthreshold_leakage_w,"
-          "gate_leakage_w,critical_path_ns\n";
-    writeCsvNode(os, report, "");
-    os.flags(flags);
-    os.precision(precision);
+    os << renderReportCsv(report);
 }
 
 } // namespace chip

@@ -6,9 +6,10 @@
 #include "common/diagnostics.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <limits>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 namespace mcpat {
@@ -97,12 +98,76 @@ ValidationError::ValidationError(const std::string &subject,
     : ConfigError(summarize(subject, diags)), _diags(std::move(diags))
 {}
 
-std::string
-jsonEscapeString(const std::string &s)
+void
+appendNumber(std::string &out, double v, int precision)
 {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
+    if (precision < 0)
+        precision = 6;
+    // %g prints at most `precision` digits plus a sign, a point and
+    // either the "0.000" of a small fixed-form value or an exponent,
+    // so the stack buffer fits every precision up to 48; a stream may
+    // carry a wider one, which takes the heap path.
+    char buf[64];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
+                                   std::chars_format::general, precision);
+    if (ec == std::errc()) {
+        out.append(buf, end);
+        return;
+    }
+    std::string wide(static_cast<std::size_t>(precision) + 16, '\0');
+    end = std::to_chars(wide.data(), wide.data() + wide.size(), v,
+                        std::chars_format::general, precision)
+              .ptr;
+    out.append(wide.data(), end);
+}
+
+namespace {
+
+bool
+needsJsonEscape(unsigned char c)
+{
+    return c < 0x20 || c == '"' || c == '\\';
+}
+
+/**
+ * Index of the first byte at or after @p i that needs a JSON escape
+ * (s.size() when none does).  Scans eight bytes per step: a word's
+ * high bits flag every byte below 0x20 and every byte equal to `"` or
+ * `\` (the classic has-less / has-zero-byte tests, which can flag a
+ * byte above a true hit but never miss one), and the exact test then
+ * walks the flagged word byte by byte.
+ */
+std::size_t
+nextJsonEscape(std::string_view s, std::size_t i)
+{
+    constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+    constexpr std::uint64_t kHighs = 0x8080808080808080ull;
+    for (; i + 8 <= s.size(); i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, s.data() + i, sizeof w);
+        const std::uint64_t quote = w ^ (kOnes * '"');
+        const std::uint64_t slash = w ^ (kOnes * '\\');
+        if (((w - kOnes * 0x20) | (quote - kOnes) | (slash - kOnes)) & ~w &
+            kHighs)
+            break;
+    }
+    while (i < s.size() && !needsJsonEscape(s[i]))
+        ++i;
+    return i;
+}
+
+} // namespace
+
+void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::size_t run = 0;
+    for (std::size_t i = nextJsonEscape(s, 0); i < s.size();
+         i = nextJsonEscape(s, run)) {
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        const auto c = static_cast<unsigned char>(s[i]);
         switch (c) {
           case '"':
             out += "\\\"";
@@ -116,67 +181,98 @@ jsonEscapeString(const std::string &s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                              kHex[c & 0xf]};
+            out.append(u, sizeof u);
+          }
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+bool
+appendJsonNumber(std::string &out, double v, int precision)
+{
+    if (!std::isfinite(v)) {
+        out += "null";
+        return false;
+    }
+    appendNumber(out, v, precision);
+    return true;
+}
+
+std::string
+jsonEscapeString(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 8);
+    appendJsonEscaped(out, s);
     return out;
 }
 
 std::string
 jsonRoundTrip(double v)
 {
-    if (!std::isfinite(v))
-        return "null";
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
+    std::string out;
+    appendJsonNumber(out, v, kRoundTripPrecision);
+    return out;
 }
 
 bool
 writeJsonNumber(std::ostream &os, double v)
 {
-    if (std::isfinite(v)) {
-        os << v;
-        return true;
+    std::string out;
+    const bool finite =
+        appendJsonNumber(out, v, static_cast<int>(os.precision()));
+    os << out;
+    return finite;
+}
+
+void
+appendCsvField(std::string &out, std::string_view s)
+{
+    const bool quote = std::any_of(s.begin(), s.end(), [](char c) {
+        return c == ',' || c == '"' || c == '\n' || c == '\r';
+    });
+    if (!quote) {
+        out += s;
+        return;
     }
-    os << "null";
-    return false;
+    out += '"';
+    for (char c : s) {
+        if (c == '"')
+            out += '"';
+        out += c;
+    }
+    out += '"';
 }
 
 std::string
-csvEscapeField(const std::string &s)
+csvEscapeField(std::string_view s)
 {
-    if (s.find_first_of(",\"\n\r") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += "\"\"";
-        else
-            out += c;
-    }
-    return out + "\"";
+    std::string out;
+    appendCsvField(out, s);
+    return out;
 }
 
 namespace {
 
 /** One diagnostic as a single-line JSON object. */
 void
-writeDiagnosticObject(std::ostream &os, const Diagnostic &d)
+appendDiagnosticObject(std::string &out, const Diagnostic &d)
 {
-    os << "{\"severity\": \"" << severityName(d.severity)
-       << "\", \"component\": \"" << jsonEscapeString(d.component)
-       << "\", \"key\": \"" << jsonEscapeString(d.key)
-       << "\", \"line\": " << d.line << ", \"message\": \""
-       << jsonEscapeString(d.message) << "\"}";
+    out += "{\"severity\": \"";
+    out += severityName(d.severity);
+    out += "\", \"component\": \"";
+    appendJsonEscaped(out, d.component);
+    out += "\", \"key\": \"";
+    appendJsonEscaped(out, d.key);
+    out += "\", \"line\": ";
+    out += std::to_string(d.line);
+    out += ", \"message\": \"";
+    appendJsonEscaped(out, d.message);
+    out += "\"}";
 }
 
 } // namespace
@@ -185,33 +281,36 @@ void
 writeDiagnosticsJson(std::ostream &os, const DiagnosticList &diags,
                      int indent)
 {
-    const std::string pad(indent, ' ');
     if (diags.empty()) {
         os << "[]";
         return;
     }
-    os << "[\n";
+    const std::string pad(indent, ' ');
+    std::string out = "[\n";
     const auto &items = diags.items();
     for (std::size_t i = 0; i < items.size(); ++i) {
-        os << pad << "  ";
-        writeDiagnosticObject(os, items[i]);
-        os << (i + 1 < items.size() ? ",\n" : "\n");
+        out += pad;
+        out += "  ";
+        appendDiagnosticObject(out, items[i]);
+        out += i + 1 < items.size() ? ",\n" : "\n";
     }
-    os << pad << "]";
+    out += pad;
+    out += "]";
+    os << out;
 }
 
 std::string
 diagnosticsJsonLine(const DiagnosticList &diags)
 {
-    std::ostringstream os;
-    os << "[";
+    std::string out = "[";
     const auto &items = diags.items();
     for (std::size_t i = 0; i < items.size(); ++i) {
-        os << (i ? ", " : "");
-        writeDiagnosticObject(os, items[i]);
+        if (i)
+            out += ", ";
+        appendDiagnosticObject(out, items[i]);
     }
-    os << "]";
-    return os.str();
+    out += "]";
+    return out;
 }
 
 void

@@ -22,8 +22,10 @@
 #ifndef MCPAT_COMMON_DIAGNOSTICS_HH
 #define MCPAT_COMMON_DIAGNOSTICS_HH
 
+#include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -117,32 +119,65 @@ class ValidationError : public ConfigError
 // Output rules shared by every JSON and CSV writer in the repository.
 // ---------------------------------------------------------------------
 
+/** Significant digits at which every double survives a print/parse
+ *  round trip (max_digits10). */
+inline constexpr int kRoundTripPrecision =
+    std::numeric_limits<double>::max_digits10;
+
+/** A default-constructed stream's precision: replies, summaries and
+ *  labels print their numbers at it. */
+inline constexpr int kStreamPrecision = 6;
+
 /**
- * Escape a string for inclusion in a JSON document: `"` and `\`
- * are backslash-escaped, `\n` and `\t` use their short forms, every
- * other byte below 0x20 becomes `\u00XX`, and all other bytes pass
- * through unchanged.
+ * The one number rule: append @p v as printf's `%.<precision>g` prints
+ * it in the C locale, which is also what `std::ostream << v` prints
+ * under default flags at that precision (a negative precision means 6,
+ * as it does for a stream).  Non-finite values append `inf`/`nan` like
+ * a stream; the JSON and CSV writers test finiteness first and write
+ * `null` or an empty cell instead.
  */
-std::string jsonEscapeString(const std::string &s);
+void appendNumber(std::string &out, double v, int precision);
+
+/**
+ * The one JSON string escaper: append @p s with `"` and `\`
+ * backslash-escaped, `\n` and `\t` in their short forms, every other
+ * byte below 0x20 as `\u00xx`, and all other bytes unchanged.  It
+ * finds the next byte to escape eight bytes at a time and copies each
+ * run of bytes that need none with one append.
+ */
+void appendJsonEscaped(std::string &out, std::string_view s);
+
+/**
+ * Append @p v as a JSON number at @p precision (appendNumber), or
+ * `null` when it is non-finite, since JSON has no NaN/Infinity
+ * literals.  Returns false exactly when it wrote `null`.
+ */
+bool appendJsonNumber(std::string &out, double v, int precision);
+
+/** appendJsonEscaped into a new string. */
+std::string jsonEscapeString(std::string_view s);
 
 /**
  * A double as JSON text that parses back bit-identically
- * (max_digits10 significant digits).  JSON has no NaN/Infinity
- * literals, so a non-finite value becomes `null`.
+ * (kRoundTripPrecision significant digits; `null` when non-finite).
  */
 std::string jsonRoundTrip(double v);
 
 /**
- * Write a double as a JSON number at @p os's current precision.  A
- * non-finite value writes `null`; the result is false exactly then.
+ * Write a double as a JSON number at @p os's current precision
+ * (appendJsonNumber; the stream's other format flags do not apply).
+ * A non-finite value writes `null`; the result is false exactly then.
  */
 bool writeJsonNumber(std::ostream &os, double v);
 
 /**
- * One CSV field (RFC 4180): quoted, with `"` doubled, when it contains
- * `,`, `"`, `\n` or `\r`; unchanged otherwise.
+ * Append one CSV field (RFC 4180): quoted, with `"` doubled, when it
+ * contains `,`, `"`, `\n` or `\r`; unchanged otherwise.
  */
-std::string csvEscapeField(const std::string &s);
+void appendCsvField(std::string &out, std::string_view s);
+
+/** appendCsvField into a new string. */
+std::string csvEscapeField(std::string_view s);
 
 /**
  * Emit a diagnostics array as JSON, one object per line:

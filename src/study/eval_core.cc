@@ -137,7 +137,10 @@ evaluate(const EvalRequest &req)
 
         const auto report_t0 = std::chrono::steady_clock::now();
         MCPAT_SPAN("report");
-        result.report = proc.makeReport(rt);
+        {
+            MCPAT_SPAN("report.build");
+            result.report = proc.makeReport(rt);
+        }
         result.area = result.report.area;
         result.peakPower = result.report.peakPower();
         result.runtimePower = result.report.runtimePower();
@@ -145,9 +148,13 @@ evaluate(const EvalRequest &req)
         // Post-assembly physical-invariant audit: a model bug that
         // yields negative leakage or a child outweighing its parent
         // must surface as a located diagnostic, not ship silently.
-        DiagnosticList audit = chip::auditReport(result.report);
-        const std::size_t violations = audit.size();
-        result.diagnostics.merge(std::move(audit));
+        std::size_t violations = 0;
+        {
+            MCPAT_SPAN("report.audit");
+            DiagnosticList audit = chip::auditReport(result.report);
+            violations = audit.size();
+            result.diagnostics.merge(std::move(audit));
+        }
         if (req.strict && violations > 0) {
             throw ConfigError(
                 "strict mode: " + std::to_string(violations) +
@@ -156,14 +163,12 @@ evaluate(const EvalRequest &req)
         }
 
         if (req.wantReportJson) {
-            std::ostringstream js;
-            chip::writeReportJson(js, result.report);
-            result.reportJson = js.str();
+            MCPAT_SPAN("report.json");
+            result.reportJson = chip::renderReportJson(result.report);
         }
         if (req.wantReportCsv) {
-            std::ostringstream cs;
-            chip::writeReportCsv(cs, result.report);
-            result.reportCsv = cs.str();
+            MCPAT_SPAN("report.csv");
+            result.reportCsv = chip::renderReportCsv(result.report);
         }
         result.reportSeconds = secondsSince(report_t0);
         result.ok = true;

@@ -7,8 +7,9 @@
  * the batch runner, and the `-serve` daemon.  It runs load ->
  * validate -> assemble -> report -> audit under the phase spans
  * `config_load`, `validate`, `assemble` (with its `array.optimize`
- * and `tdp` children) and `report`, so every front end's trace shows
- * the same phases.  The core never touches the filesystem for
+ * and `tdp` children) and `report` (with its `report.build`,
+ * `report.audit`, `report.json` and `report.csv` children), so every
+ * front end's trace shows the same phases.  The core never touches the filesystem for
  * *output* (callers decide where rendered reports go) and never
  * writes to global logs; everything it learns about a request comes
  * back in the EvalResult.  What stays in a front end is only its own:

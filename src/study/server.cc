@@ -583,56 +583,75 @@ struct EvalServer::Impl
                    : result.interrupted ? 503
                                         : 422;
 
-        std::ostringstream os;
-        os << "{";
-        if (!id.empty())
-            os << "\"id\": \"" << jsonEscapeString(id) << "\", ";
-        os << "\"status\": " << status
-           << ", \"ok\": " << (result.ok ? "true" : "false")
-           << ", \"cached\": " << (hit ? "true" : "false");
+        // One reserved string: the report, CSV and manifest are escaped
+        // straight into the reply (their quotes and newlines grow them
+        // by a few percent).
+        const std::size_t embedded = result.reportJson.size() +
+            result.reportCsv.size() + result.manifestJson.size();
+        std::string out;
+        out.reserve(512 + id.size() + result.error.size() + embedded +
+                    embedded / 8);
+        out += "{";
+        if (!id.empty()) {
+            out += "\"id\": \"";
+            appendJsonEscaped(out, id);
+            out += "\", ";
+        }
+        out += "\"status\": ";
+        out += std::to_string(status);
+        out += result.ok ? ", \"ok\": true" : ", \"ok\": false";
+        out += hit ? ", \"cached\": true" : ", \"cached\": false";
         if (!result.ok) {
             if (result.timedOut)
                 timeouts.fetch_add(1, std::memory_order_relaxed);
             else
                 failed.fetch_add(1, std::memory_order_relaxed);
-            os << ", \"error\": \"" << jsonEscapeString(result.error)
-               << "\"";
+            out += ", \"error\": \"";
+            appendJsonEscaped(out, result.error);
+            out += "\"";
             if (result.timedOut) {
-                os << ", \"timed_out\": true, \"timeout_ms\": ";
-                writeJsonNumber(os, er.timeoutMs);
+                out += ", \"timed_out\": true, \"timeout_ms\": ";
+                appendJsonNumber(out, er.timeoutMs, kStreamPrecision);
             }
         } else {
             served.fetch_add(1, std::memory_order_relaxed);
-            os << ", \"area_mm2\": ";
-            writeJsonNumber(os, result.area * 1e6);
-            os << ", \"peak_w\": ";
-            writeJsonNumber(os, result.peakPower);
-            os << ", \"runtime_w\": ";
-            writeJsonNumber(os, result.runtimePower);
+            out += ", \"area_mm2\": ";
+            appendJsonNumber(out, result.area * 1e6, kStreamPrecision);
+            out += ", \"peak_w\": ";
+            appendJsonNumber(out, result.peakPower, kStreamPrecision);
+            out += ", \"runtime_w\": ";
+            appendJsonNumber(out, result.runtimePower, kStreamPrecision);
         }
         if (!result.diagnostics.empty()) {
-            os << ", \"diagnostics\": "
-               << diagnosticsJsonLine(result.diagnostics);
+            out += ", \"diagnostics\": ";
+            out += diagnosticsJsonLine(result.diagnostics);
         }
-        os << ", \"timing_ms\": {\"load\": "
-           << 1e3 * result.loadSeconds
-           << ", \"assemble\": " << 1e3 * result.assembleSeconds
-           << ", \"report\": " << 1e3 * result.reportSeconds
-           << ", \"wall\": " << 1e3 * result.wallSeconds << "}";
+        out += ", \"timing_ms\": {\"load\": ";
+        appendNumber(out, 1e3 * result.loadSeconds, kStreamPrecision);
+        out += ", \"assemble\": ";
+        appendNumber(out, 1e3 * result.assembleSeconds, kStreamPrecision);
+        out += ", \"report\": ";
+        appendNumber(out, 1e3 * result.reportSeconds, kStreamPrecision);
+        out += ", \"wall\": ";
+        appendNumber(out, 1e3 * result.wallSeconds, kStreamPrecision);
+        out += "}";
         if (result.ok && !result.reportJson.empty()) {
-            os << ", \"report\": \""
-               << jsonEscapeString(result.reportJson) << "\"";
+            out += ", \"report\": \"";
+            appendJsonEscaped(out, result.reportJson);
+            out += "\"";
         }
         if (result.ok && !result.reportCsv.empty()) {
-            os << ", \"csv\": \"" << jsonEscapeString(result.reportCsv)
-               << "\"";
+            out += ", \"csv\": \"";
+            appendJsonEscaped(out, result.reportCsv);
+            out += "\"";
         }
         if (!result.manifestJson.empty()) {
-            os << ", \"manifest\": \""
-               << jsonEscapeString(result.manifestJson) << "\"";
+            out += ", \"manifest\": \"";
+            appendJsonEscaped(out, result.manifestJson);
+            out += "\"";
         }
-        os << "}\n";
-        return os.str();
+        out += "}\n";
+        return out;
     }
 
     void

@@ -86,16 +86,14 @@ std::atomic<std::uint64_t> g_replayed{0};
                 g_replayed.load(std::memory_order_relaxed)));
     });
 
-/** "512K" / "1M" / "1.5M" for a byte count (label suffixes). */
-std::string
-bytesSuffix(double bytes)
+/** Append "512K" / "1M" / "1.5M" for a byte count (label suffixes). */
+void
+appendBytesSuffix(std::string &out, double bytes)
 {
-    std::ostringstream os;
-    if (bytes >= 1024.0 * 1024.0)
-        os << bytes / (1024.0 * 1024.0) << "M";
-    else
-        os << bytes / 1024.0 << "K";
-    return os.str();
+    const bool mib = bytes >= 1024.0 * 1024.0;
+    appendNumber(out, bytes / (mib ? 1024.0 * 1024.0 : 1024.0),
+                 kStreamPrecision);
+    out += mib ? 'M' : 'K';
 }
 
 /**
@@ -125,18 +123,28 @@ journalWorkMatches(const common::JsonValue &hdr, double work)
 } // namespace
 
 void
-writeSweepPointFields(std::ostream &os, const DesignPointResult &r)
+appendSweepPointFields(std::string &out, const DesignPointResult &r)
 {
-    os << "\"key\": \"" << jsonEscapeString(r.config.key())
-       << "\", \"label\": \"" << jsonEscapeString(r.config.label())
-       << "\", \"area\": " << jsonRoundTrip(r.area)
-       << ", \"tdp\": " << jsonRoundTrip(r.tdp)
-       << ", \"mean_throughput\": " << jsonRoundTrip(r.meanThroughput)
-       << ", \"mean_power\": " << jsonRoundTrip(r.meanPower)
-       << ", \"ed\": " << jsonRoundTrip(r.meanMetrics.ed)
-       << ", \"ed2\": " << jsonRoundTrip(r.meanMetrics.ed2)
-       << ", \"eda\": " << jsonRoundTrip(r.meanMetrics.eda)
-       << ", \"ed2a\": " << jsonRoundTrip(r.meanMetrics.ed2a);
+    out += "\"key\": \"";
+    appendJsonEscaped(out, r.config.key());
+    out += "\", \"label\": \"";
+    appendJsonEscaped(out, r.config.label());
+    out += '"';
+    const std::pair<const char *, double> numbers[] = {
+        {"area", r.area},
+        {"tdp", r.tdp},
+        {"mean_throughput", r.meanThroughput},
+        {"mean_power", r.meanPower},
+        {"ed", r.meanMetrics.ed},
+        {"ed2", r.meanMetrics.ed2},
+        {"eda", r.meanMetrics.eda},
+        {"ed2a", r.meanMetrics.ed2a}};
+    for (const auto &[name, v] : numbers) {
+        out += ", \"";
+        out += name;
+        out += "\": ";
+        appendJsonNumber(out, v, kRoundTripPrecision);
+    }
 }
 
 SweepEvalStats
@@ -200,12 +208,14 @@ CaseStudyConfig::label() const
     if (totalCores != defaults.totalCores)
         l += "-n" + std::to_string(totalCores);
     if (clockRate != defaults.clockRate) {
-        std::ostringstream os;
-        os << clockRate / 1e9 << "GHz";
-        l += "-" + os.str();
+        l += '-';
+        appendNumber(l, clockRate / 1e9, kStreamPrecision);
+        l += "GHz";
     }
-    if (l2BytesPerCore != defaults.l2BytesPerCore)
-        l += "-l2" + bytesSuffix(l2BytesPerCore);
+    if (l2BytesPerCore != defaults.l2BytesPerCore) {
+        l += "-l2";
+        appendBytesSuffix(l, l2BytesPerCore);
+    }
     if (nodeNm != defaults.nodeNm)
         l += "-" + std::to_string(nodeNm) + "nm";
     return l;
@@ -214,13 +224,13 @@ CaseStudyConfig::label() const
 std::string
 CaseStudyConfig::key() const
 {
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << "node=" << nodeNm << ";clk=" << clockRate
-       << ";cores=" << totalCores << ";cluster=" << coresPerCluster
-       << ";style=" << static_cast<int>(style)
-       << ";l2pc=" << l2BytesPerCore;
-    return os.str();
+    std::string k = "node=" + std::to_string(nodeNm) + ";clk=";
+    appendNumber(k, clockRate, kRoundTripPrecision);
+    k += ";cores=" + std::to_string(totalCores) +
+         ";cluster=" + std::to_string(coresPerCluster) +
+         ";style=" + std::to_string(static_cast<int>(style)) + ";l2pc=";
+    appendNumber(k, l2BytesPerCore, kRoundTripPrecision);
+    return k;
 }
 
 chip::SystemParams
@@ -381,11 +391,12 @@ namespace {
 std::string
 sweepItemPayload(const DesignPointResult &r)
 {
-    std::ostringstream os;
-    os << "{\"type\": \"point\", ";
-    writeSweepPointFields(os, r);
-    os << "}";
-    return os.str();
+    std::string out;
+    out.reserve(512);
+    out += "{\"type\": \"point\", ";
+    appendSweepPointFields(out, r);
+    out += '}';
+    return out;
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();

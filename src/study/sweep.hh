@@ -218,11 +218,12 @@ SweepEvalStats sweepEvalStats();
 void resetSweepEvalStats();
 
 /**
- * One design point's JSON members, `"key"` through `"ed2a"`, without
- * the enclosing braces (journal records and the search document share
- * them).  Numbers use the round-trip rule (jsonRoundTrip).
+ * Append one design point's JSON members, `"key"` through `"ed2a"`,
+ * without the enclosing braces (journal records and the search
+ * document share them).  Numbers use the round-trip rule
+ * (appendJsonNumber at kRoundTripPrecision).
  */
-void writeSweepPointFields(std::ostream &os, const DesignPointResult &r);
+void appendSweepPointFields(std::string &out, const DesignPointResult &r);
 
 /**
  * Print one design point's per-workload rows.  A replayed

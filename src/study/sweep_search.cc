@@ -316,9 +316,10 @@ writeSweepSearchJson(std::ostream &os, const SweepSpace &space,
        << ",\n  \"rounds\": " << r.rounds << ",\n  \"points\": [";
     for (std::size_t i = 0; i < r.points.size(); ++i) {
         const SweepSearchPoint &p = r.points[i];
-        os << (i ? "," : "") << "\n    {\"index\": " << p.index << ", ";
-        writeSweepPointFields(os, p.result);
-        os << ", \"aggregates_only\": "
+        std::string fields;
+        appendSweepPointFields(fields, p.result);
+        os << (i ? "," : "") << "\n    {\"index\": " << p.index << ", "
+           << fields << ", \"aggregates_only\": "
            << (p.result.aggregatesOnly ? "true" : "false") << "}";
     }
     os << "\n  ],\n  \"frontier\": [";

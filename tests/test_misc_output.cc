@@ -2,16 +2,20 @@
  * @file
  * Remaining-path tests: the human-readable report printer, the torus
  * fabric, end-to-end chips at interpolated technology nodes, the
- * case-study work parameter, and the shared JSON/CSV output rules.
+ * case-study work parameter, the shared JSON/CSV output rules, and the
+ * report writers against their stream-based reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cfloat>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iomanip>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,7 +25,9 @@
 #include "chip/report_writer.hh"
 #include "common/diagnostics.hh"
 #include "common/json_value.hh"
+#include "study/eval_core.hh"
 #include "study/sweep.hh"
+#include "test_inputs.hh"
 #include "uncore/noc.hh"
 
 using namespace mcpat;
@@ -269,4 +275,353 @@ TEST(OutputRules, WriterCorpusRoundTrips)
     std::ostringstream finite;
     EXPECT_TRUE(writeJsonNumber(finite, 1.5));
     EXPECT_EQ(finite.str(), "1.5");
+}
+
+// ---------------------------------------------------------------------
+// The appenders against the stream forms they replaced: appendNumber
+// must print what `ostream << setprecision(p) << v` prints, and
+// appendJsonEscaped what the byte-at-a-time escaper produced.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::string
+streamNumber(double v, int precision)
+{
+    std::ostringstream os;
+    os << std::setprecision(precision) << v;
+    return os.str();
+}
+
+std::string
+appendedNumber(double v, int precision)
+{
+    std::string out = "x";  // appends, never overwrites
+    appendNumber(out, v, precision);
+    return out.substr(1);
+}
+
+/** A double from its bit pattern. */
+double
+fromBits(std::uint64_t bits)
+{
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    return d;
+}
+
+} // namespace
+
+TEST(OutputRules, NumberFormatMatchesStream)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    std::vector<double> corpus = {
+        0.0, -0.0, denorm, -denorm, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+        // %g's fixed/scientific switch points at precisions 6 and 17.
+        1e-5, 1e-4, 9.9999999999999991e-5, 0.0001, 999999.5, 999999.0,
+        1e6, 1e16, 1e17, 99999999999999999.0, 1e15, 123456789012345678.0,
+        // Values that round up across a decade.
+        9.9999995, 9.99999949, 99999.95, 0.000099999995,
+        9.9999999999999999e22, 0.99999999999999989, 9.5, 0.95,
+        // Exact decimal ties (round half to even in both).
+        0.125, 2.5, 0.5, 1.5, 1234565.0, 12345650.0,
+        1.0 / 3.0, 2.0 / 3.0, 0.1, 0.2, 0.3, 1.0, 10.0, 100.0, 1e-300,
+        1e300, 5e-324, 4.9406564584124654e-324, 2.2250738585072009e-308,
+        inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()};
+    std::mt19937_64 rng(0x5eed);
+    for (int i = 0; i < 4000; ++i)
+        corpus.push_back(fromBits(rng()));
+    // Magnitudes the model prints: log-uniform over 1e-15 .. 1e15.
+    std::uniform_real_distribution<double> exponent(-15.0, 15.0);
+    for (int i = 0; i < 2000; ++i)
+        corpus.push_back((i % 2 ? -1.0 : 1.0) *
+                         std::pow(10.0, exponent(rng)));
+
+    // 6 and 17 are the two precisions the writers use; the others
+    // cover %g's precision-0 rule and the wide-precision path.
+    for (const int precision : {6, 17, 0, 1, 4, 48, 60}) {
+        for (const double v : corpus) {
+            ASSERT_EQ(appendedNumber(v, precision),
+                      streamNumber(v, precision))
+                << "precision " << precision << ", value "
+                << std::hexfloat << v;
+        }
+    }
+    // A stream treats a negative precision as 6.
+    EXPECT_EQ(appendedNumber(1.0 / 3.0, -1), streamNumber(1.0 / 3.0, 6));
+
+    // The JSON and CSV stream wrappers print at the stream's precision.
+    for (const int precision : {3, 6, 17}) {
+        std::ostringstream json, csv, ref;
+        json << std::setprecision(precision);
+        csv << std::setprecision(precision);
+        EXPECT_TRUE(writeJsonNumber(json, 2.0 / 3.0));
+        chip::writeCsvNumber(csv, 2.0 / 3.0);
+        ref << std::setprecision(precision) << 2.0 / 3.0;
+        EXPECT_EQ(json.str(), ref.str());
+        EXPECT_EQ(csv.str(), ref.str());
+    }
+    EXPECT_EQ(jsonRoundTrip(0.1), streamNumber(0.1, 17));
+}
+
+namespace {
+
+/** The JSON escaper as it was written before appendJsonEscaped: one
+ *  byte at a time. */
+std::string
+bytewiseJsonEscape(const std::string &s)
+{
+    std::string out;
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+/** The CSV field rule as it was written before appendCsvField. */
+std::string
+referenceCsvField(const std::string &s)
+{
+    if (s.find_first_of(",\"\n\r") == std::string::npos)
+        return s;
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"')
+            out += "\"\"";
+        else
+            out += c;
+    }
+    return out + "\"";
+}
+
+} // namespace
+
+TEST(OutputRules, EscaperMatchesBytewiseReference)
+{
+    std::vector<std::string> inputs = {"", "plain text, no escapes"};
+    std::string every_byte;
+    for (int b = 0; b < 256; ++b) {
+        const std::string byte(1, static_cast<char>(b));
+        every_byte += byte;
+        inputs.push_back(byte);
+        inputs.push_back(byte + byte + byte);
+        inputs.push_back("ab" + byte + "cd");
+        inputs.push_back(byte + "run of safe bytes" + byte);
+        // At every offset of a word-sized scan, and after a word of
+        // bytes at or above 0x80 (which sets every high bit).
+        for (std::size_t at = 0; at <= 16; ++at) {
+            std::string text(24, 'a');
+            text[at] = static_cast<char>(b);
+            inputs.push_back(text);
+            inputs.push_back(std::string(8, '\xff') + text);
+        }
+    }
+    inputs.push_back(every_byte);
+    inputs.push_back(every_byte + every_byte);
+    for (const std::string &s : inputs) {
+        const std::string expected = bytewiseJsonEscape(s);
+        EXPECT_EQ(jsonEscapeString(s), expected);
+        std::string appended = "prefix:";
+        appendJsonEscaped(appended, s);
+        EXPECT_EQ(appended, "prefix:" + expected);
+
+        const std::string csv = referenceCsvField(s);
+        EXPECT_EQ(csvEscapeField(s), csv);
+        std::string cell = "prefix:";
+        appendCsvField(cell, s);
+        EXPECT_EQ(cell, "prefix:" + csv);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The report writers against the ostream renderer they replaced, kept
+// here as the reference: every byte of JSON and CSV must match.
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+referenceJsonNumber(std::ostream &os, double v)
+{
+    if (std::isfinite(v))
+        os << v;
+    else
+        os << "null";
+}
+
+bool
+referenceAllFinite(const Report &r)
+{
+    for (const double v :
+         {r.area, r.peakDynamic, r.runtimeDynamic, r.subthresholdLeakage,
+          r.runtimeSubLeak(), r.gateLeakage, r.criticalPath})
+        if (!std::isfinite(v))
+            return false;
+    for (const auto &c : r.children)
+        if (!referenceAllFinite(c))
+            return false;
+    return true;
+}
+
+void
+referenceJsonNode(std::ostream &os, const Report &r, int indent,
+                  const bool *root_valid, const std::string *instr)
+{
+    const std::string pad(indent, ' ');
+    os << pad << "{\n";
+    if (root_valid)
+        os << pad << "  \"valid\": " << (*root_valid ? "true" : "false")
+           << ",\n";
+    if (instr && !instr->empty())
+        os << pad << "  \"instrumentation\":\n" << *instr << ",\n";
+    os << pad << "  \"name\": \"" << bytewiseJsonEscape(r.name)
+       << "\",\n";
+    const std::pair<const char *, double> members[] = {
+        {"area_mm2", r.area / mm2},
+        {"peak_dynamic_w", r.peakDynamic},
+        {"runtime_dynamic_w", r.runtimeDynamic},
+        {"subthreshold_leakage_w", r.subthresholdLeakage},
+        {"runtime_subthreshold_leakage_w", r.runtimeSubLeak()},
+        {"gate_leakage_w", r.gateLeakage},
+        {"critical_path_ns", r.criticalPath / ns}};
+    for (const auto &[name, v] : members) {
+        os << pad << "  \"" << name << "\": ";
+        referenceJsonNumber(os, v);
+        os << ",\n";
+    }
+    os << pad << "  \"children\": [";
+    if (r.children.empty()) {
+        os << "]\n";
+    } else {
+        os << "\n";
+        for (std::size_t i = 0; i < r.children.size(); ++i) {
+            referenceJsonNode(os, r.children[i], indent + 4, nullptr,
+                              nullptr);
+            os << (i + 1 < r.children.size() ? ",\n" : "\n");
+        }
+        os << pad << "  ]\n";
+    }
+    os << pad << "}";
+}
+
+std::string
+referenceJson(const Report &r, const std::string *instr = nullptr)
+{
+    std::ostringstream os;
+    os << std::setprecision(17);
+    const bool valid = referenceAllFinite(r);
+    referenceJsonNode(os, r, 0, &valid, instr);
+    os << "\n";
+    return os.str();
+}
+
+void
+referenceCsvNode(std::ostream &os, const Report &r,
+                 const std::string &path)
+{
+    const std::string full = path.empty() ? r.name : path + "/" + r.name;
+    os << referenceCsvField(full);
+    for (const double v :
+         {r.area / mm2, r.peakDynamic, r.runtimeDynamic,
+          r.subthresholdLeakage, r.runtimeSubLeak(), r.gateLeakage,
+          r.criticalPath / ns}) {
+        os << ',';
+        if (std::isfinite(v))
+            os << v;
+    }
+    os << '\n';
+    for (const auto &c : r.children)
+        referenceCsvNode(os, c, full);
+}
+
+std::string
+referenceCsv(const Report &r)
+{
+    std::ostringstream os;
+    os << std::setprecision(17)
+       << "path,area_mm2,peak_dynamic_w,runtime_dynamic_w,"
+          "subthreshold_leakage_w,runtime_subthreshold_leakage_w,"
+          "gate_leakage_w,critical_path_ns\n";
+    referenceCsvNode(os, r, "");
+    return os.str();
+}
+
+/** Both renderers and both stream entry points agree on @p r. */
+void
+expectMatchesReference(const Report &r, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const std::string json = referenceJson(r);
+    const std::string csv = referenceCsv(r);
+    EXPECT_EQ(chip::renderReportJson(r), json);
+    EXPECT_EQ(chip::renderReportCsv(r), csv);
+    std::ostringstream js, cs;
+    chip::writeReportJson(js, r);
+    chip::writeReportCsv(cs, r);
+    EXPECT_EQ(js.str(), json);
+    EXPECT_EQ(cs.str(), csv);
+    const std::string instr = "  {\"schema\": \"x\"}";
+    EXPECT_EQ(chip::renderReportJson(r, &instr), referenceJson(r, &instr));
+}
+
+} // namespace
+
+TEST(ReportWriter, MatchesStreamReference)
+{
+    for (const char *name : kShippedConfigs) {
+        study::EvalRequest req;
+        req.configPath = findConfig(name);
+        req.wantReportCsv = true;
+        const study::EvalResult result = study::evaluate(req);
+        ASSERT_TRUE(result.ok) << name << ": " << result.error;
+        expectMatchesReference(result.report, name);
+        EXPECT_EQ(result.reportJson, referenceJson(result.report)) << name;
+        EXPECT_EQ(result.reportCsv, referenceCsv(result.report)) << name;
+    }
+
+    // The configurations RandomConfigTest builds, seed by seed.
+    for (const unsigned seed : kRandomConfigSeeds) {
+        ConfigGen gen(seed);
+        for (int i = 0; i < 4; ++i) {
+            const chip::Processor proc(gen.next());
+            expectMatchesReference(proc.tdpReport(),
+                                   "seed " + std::to_string(seed) +
+                                       " cfg " + std::to_string(i));
+        }
+    }
+
+    // Non-finite metrics, and names that need JSON and CSV quoting.
+    Report odd = degenerateReport();
+    odd.name = "quote \" back\\slash, comma\nnewline \x01 tab\t";
+    Report grandchild;
+    grandchild.name = "";
+    grandchild.area = -0.0;
+    grandchild.runtimeDynamic = -std::numeric_limits<double>::infinity();
+    grandchild.gateLeakage = std::numeric_limits<double>::denorm_min();
+    grandchild.criticalPath = DBL_MAX;
+    odd.children.front().children.push_back(grandchild);
+    expectMatchesReference(odd, "non-finite");
 }

@@ -8,107 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "chip/processor.hh"
 #include "perf/activity_gen.hh"
+#include "test_inputs.hh"
 
 using namespace mcpat;
 
 namespace {
-
-/** Deterministic random configuration generator. */
-class ConfigGen
-{
-  public:
-    explicit ConfigGen(unsigned seed) : _rng(seed) {}
-
-    chip::SystemParams
-    next()
-    {
-        chip::SystemParams sys;
-        sys.nodeNm = pick({180, 90, 65, 45, 32, 22});
-        sys.coreFlavor = pick({tech::DeviceFlavor::HP,
-                               tech::DeviceFlavor::LOP});
-        sys.temperature = uniform(320.0, 400.0);
-        sys.numCores = pick({1, 2, 4, 8, 16});
-
-        auto &c = sys.core;
-        c.outOfOrder = flip();
-        c.threads = pick({1, 2, 4});
-        const int width = pick({1, 2, 4, 8});
-        c.fetchWidth = c.decodeWidth = c.issueWidth = c.commitWidth =
-            width;
-        c.intAlus = std::max(1, width - 1);
-        c.fpus = pick({0, 1, 2});
-        c.hasFpu = c.fpus > 0;
-        c.muls = pick({0, 1});
-        c.pipelineStages = pick({5, 8, 12, 20, 31});
-        c.robEntries = pick({32, 64, 128, 192});
-        c.intWindowEntries = pick({8, 16, 32, 64});
-        c.fpWindowEntries = 16;
-        c.physIntRegs = pick({64, 128, 256});
-        c.physFpRegs = pick({64, 128});
-        c.ratStyle = flip() ? logic::RatStyle::Ram
-                            : logic::RatStyle::Cam;
-        c.hasBranchPredictor = flip();
-        c.powerGating = flip();
-        // Slow clocks at big nodes, fast at small ones.
-        c.clockRate = uniform(0.5, 1.5) * 4.0e10 / sys.nodeNm;
-        c.icache.capacityBytes = pick({8, 16, 32, 64}) * 1024.0;
-        c.dcache.capacityBytes = pick({8, 16, 32, 64}) * 1024.0;
-        c.icache.assoc = pick({1, 2, 4, 8});
-        c.dcache.assoc = pick({1, 2, 4, 8});
-
-        if (flip()) {
-            sys.numL2 = pick({1, 2, 4});
-            sys.l2.capacityBytes = pick({256, 512, 1024, 4096}) *
-                                   1024.0;
-            sys.l2.assoc = pick({4, 8, 16});
-            sys.l2.banks = pick({1, 2, 4});
-            sys.l2.clockRate = c.clockRate / 2.0;
-            sys.l2.dataCell = flip() ? array::CellType::SRAM
-                                     : array::CellType::EDRAM;
-        }
-        if (flip()) {
-            sys.hasNoc = true;
-            sys.noc.topology = pick({uncore::NocTopology::Mesh2D,
-                                     uncore::NocTopology::Ring,
-                                     uncore::NocTopology::Bus,
-                                     uncore::NocTopology::Crossbar});
-            sys.noc.nodesX = pick({1, 2, 4});
-            sys.noc.nodesY = pick({1, 2, 4});
-            sys.noc.flitBits = pick({64, 128, 256});
-            sys.noc.linkLength = 0.0;  // auto-derive
-            sys.noc.clockRate = c.clockRate / 2.0;
-        }
-        sys.memCtrl.channels = pick({1, 2, 4});
-        sys.memCtrl.dramType = pick({uncore::DramType::DDR2,
-                                     uncore::DramType::DDR3,
-                                     uncore::DramType::FbDimm});
-        return sys;
-    }
-
-  private:
-    template <typename T>
-    T
-    pick(std::initializer_list<T> values)
-    {
-        std::uniform_int_distribution<std::size_t> d(
-            0, values.size() - 1);
-        return *(values.begin() + d(_rng));
-    }
-
-    double
-    uniform(double lo, double hi)
-    {
-        return std::uniform_real_distribution<double>(lo, hi)(_rng);
-    }
-
-    bool flip() { return pick({0, 1}) == 1; }
-
-    std::mt19937 _rng;
-};
 
 void
 checkTree(const Report &r)
@@ -195,5 +101,4 @@ TEST_P(RandomConfigTest, PerformanceModelDigestsAnyConfig)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomConfigTest,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u,
-                                           8u));
+                         ::testing::ValuesIn(kRandomConfigSeeds));
