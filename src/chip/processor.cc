@@ -30,8 +30,10 @@ SystemParams::resolvedCoreGroups() const
 int
 SystemParams::totalCores() const
 {
+    if (coreGroups.empty())
+        return numCores;
     int n = 0;
-    for (const auto &g : resolvedCoreGroups())
+    for (const auto &g : coreGroups)
         n += g.count;
     return n;
 }

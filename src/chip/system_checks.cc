@@ -1,13 +1,14 @@
 /**
  * @file
- * Cross-field consistency checks over a fully-assembled SystemParams.
+ * Consistency checks over a fully-assembled SystemParams.
  *
- * The XML loader validates each value in isolation (type, range, enum
- * membership); this pass checks the relationships between fields that
- * only make sense together — cache geometry that divides evenly,
- * pipeline widths that are ordered sensibly, an interconnect whose
- * node count matches the population it connects, a technology node the
- * device tables can interpolate.  Everything found is reported; the
+ * Single-field rules come from the same field tables the XML loader
+ * reads through (common/field_table.hh), so a programmatic config
+ * meets the ranges an XML one does.  By hand are only the rules no row
+ * can state: cache geometry that divides evenly, block sizes that are
+ * powers of two, pipeline widths that are ordered sensibly, an
+ * interconnect whose node count matches the population it connects,
+ * and a positive core population.  Everything found is reported; the
  * caller decides whether warnings are fatal (see Severity semantics in
  * common/diagnostics.hh).
  */
@@ -17,12 +18,83 @@
 
 #include "chip/system_params.hh"
 #include "common/logging.hh"
-#include "tech/technology.hh"
 
 namespace mcpat {
 namespace chip {
 
 namespace {
+
+using namespace fields;
+
+/**
+ * The checks of one component instance: its table's rows beside the
+ * struct defaults (a field at its default is never flagged), then hand
+ * rules.  A finding whose key an earlier one already names is dropped,
+ * so each field is reported once; messages are built only on failure.
+ */
+class ComponentCheck
+{
+  public:
+    ComponentCheck(DiagnosticList &diags, const std::string &component)
+        : _diags(diags), _component(component), _first(diags.size())
+    {}
+
+    /** Check @p table's rows on @p p; true while this instance has
+     *  no finding. */
+    template <class Table, class P>
+    bool
+    rows(const Table &table, const P &p, const P &defaults)
+    {
+        table(*this, p, defaults);
+        return _diags.size() == _first;
+    }
+
+    void
+    operator()(const Field<Int> &f, int v, int d)
+    {
+        if (v != d && (v < f.rule.lo || v > f.rule.hi))
+            rule(Severity::Error, f.key,
+                 rangeMessage(std::to_string(v), f.rule));
+    }
+
+    void
+    operator()(const Field<Real> &f, double v, double d)
+    {
+        const Real &r = f.rule;
+        if (v != d && !(v >= r.lo * r.scale && v <= r.hi * r.scale)) {
+            std::string value;
+            appendNumber(value, v / r.scale, kRoundTripPrecision);
+            rule(Severity::Error, f.key, rangeMessage(value, r));
+        }
+    }
+
+    void operator()(const Field<Flag> &, bool, bool) {}
+
+    template <class E>
+    void
+    operator()(const Field<OneOf<E>> &f, E v, E d)
+    {
+        for (const Spelling<E> &s : f.rule.spellings)
+            if (v == d || v == s.value)
+                return;
+        rule(Severity::Error, f.key,
+             spellingMessage(std::to_string(static_cast<int>(v)), f.rule));
+    }
+
+    void
+    rule(Severity severity, const char *key, const std::string &message)
+    {
+        for (std::size_t i = _first; i < _diags.size(); ++i)
+            if (_diags.items()[i].key == key)
+                return;
+        _diags.add(severity, _component, key, message);
+    }
+
+  private:
+    DiagnosticList &_diags;
+    const std::string &_component;
+    std::size_t _first;
+};
 
 /**
  * A set must hold a whole number of (block x assoc) frames; a capacity
@@ -31,9 +103,8 @@ namespace {
  * only block alignment matters.
  */
 void
-checkCacheGeometry(DiagnosticList &diags, const std::string &component,
-                   const std::string &size_key, double capacity_bytes,
-                   int block_bytes, int assoc)
+checkCacheGeometry(ComponentCheck &check, const char *size_key,
+                   double capacity_bytes, int block_bytes, int assoc)
 {
     if (block_bytes <= 0 || capacity_bytes <= 0)
         return;  // CacheParams::validate reports these.
@@ -41,121 +112,86 @@ checkCacheGeometry(DiagnosticList &diags, const std::string &component,
                          (assoc > 0 ? assoc : 1);
     const double sets = capacity_bytes / frame;
     if (std::abs(sets - std::round(sets)) > 1e-9) {
-        diags.add(Severity::Error, component, size_key,
-                  "capacity is not a whole number of sets (capacity " +
-                      std::to_string(static_cast<long long>(capacity_bytes)) +
-                      " B / (block " + std::to_string(block_bytes) +
-                      " B x assoc " + std::to_string(assoc > 0 ? assoc : 1) +
-                      ") is fractional)");
+        check.rule(Severity::Error, size_key,
+                   "capacity is not a whole number of sets (capacity " +
+                       std::to_string(static_cast<long long>(capacity_bytes)) +
+                       " B / (block " + std::to_string(block_bytes) +
+                       " B x assoc " + std::to_string(assoc > 0 ? assoc : 1) +
+                       ") is fractional)");
     }
 }
 
 void
-checkCoreGroup(DiagnosticList &diags, const CoreGroup &g)
+checkCore(DiagnosticList &diags, const core::CoreParams &c,
+          const core::CoreParams &fallback, int count)
 {
-    const std::string &comp = g.core.name;
-
-    if (g.count < 1) {
-        diags.add(Severity::Error, comp, "count",
-                  "core group has a non-positive population (" +
-                      std::to_string(g.count) + ")");
-    }
-
+    ComponentCheck check(diags, c.name);
     // Per-core invariants live with CoreParams; surface them as
-    // located diagnostics instead of a bare exception.
-    try {
-        g.core.validate();
-    } catch (const ConfigError &e) {
-        diags.add(Severity::Error, comp, "", e.what());
+    // located diagnostics instead of a bare exception.  validate()
+    // stops at its first failure and restates several rows, so it runs
+    // only when every row holds.
+    if (check.rows(core::kCoreFields, c, fallback)) {
+        try {
+            c.validate();
+        } catch (const ConfigError &e) {
+            diags.add(Severity::Error, c.name, "", e.what());
+        }
     }
-
-    checkCacheGeometry(diags, comp, "icache_kb", g.core.icache.capacityBytes,
-                       g.core.icache.blockBytes, g.core.icache.assoc);
-    checkCacheGeometry(diags, comp, "dcache_kb", g.core.dcache.capacityBytes,
-                       g.core.dcache.blockBytes, g.core.dcache.assoc);
+    if (count < 1) {
+        check.rule(Severity::Error, "count",
+                   "core group has a non-positive population (" +
+                       std::to_string(count) + ")");
+    }
+    checkCacheGeometry(check, "icache_kb", c.icache.capacityBytes,
+                       c.icache.blockBytes, c.icache.assoc);
+    checkCacheGeometry(check, "dcache_kb", c.dcache.capacityBytes,
+                       c.dcache.blockBytes, c.dcache.assoc);
 
     // A commit stage wider than issue can be intentional (the 21364
     // retires 8 while issuing 6), but more often it is a transposed
     // pair of numbers — flag it, don't reject it.
-    if (g.core.commitWidth > g.core.issueWidth) {
-        diags.add(Severity::Warning, comp, "commit_width",
-                  "commit width (" + std::to_string(g.core.commitWidth) +
-                      ") exceeds issue width (" +
-                      std::to_string(g.core.issueWidth) +
-                      "); retire can never be the steady-state limiter");
+    if (c.commitWidth > c.issueWidth) {
+        check.rule(Severity::Warning, "commit_width",
+                   "commit width (" + std::to_string(c.commitWidth) +
+                       ") exceeds issue width (" +
+                       std::to_string(c.issueWidth) +
+                       "); retire can never be the steady-state limiter");
     }
-    if (g.core.fetchWidth < g.core.decodeWidth) {
-        diags.add(Severity::Warning, comp, "fetch_width",
-                  "fetch width (" + std::to_string(g.core.fetchWidth) +
-                      ") below decode width (" +
-                      std::to_string(g.core.decodeWidth) +
-                      "); decode will starve");
+    if (c.fetchWidth < c.decodeWidth) {
+        check.rule(Severity::Warning, "fetch_width",
+                   "fetch width (" + std::to_string(c.fetchWidth) +
+                       ") below decode width (" +
+                       std::to_string(c.decodeWidth) +
+                       "); decode will starve");
     }
 }
 
+/** An L2 or L3: its count (0 means absent), then its rows. */
 void
-checkSharedCache(DiagnosticList &diags, const std::string &size_key,
-                 const uncore::SharedCacheParams &c, int count)
+checkSharedCache(DiagnosticList &diags, const uncore::SharedCacheParams &c,
+                 const uncore::SharedCacheParams &fallback, int count)
 {
-    const std::string &comp = c.name;
-    if (count < 0) {
-        diags.add(Severity::Error, comp, "count",
-                  "negative cache instance count (" +
-                      std::to_string(count) + ")");
+    ComponentCheck check(diags, c.name);
+    check(kCacheCountField, count, 0);  // 0: no such level
+    if (count <= 0)
         return;
-    }
-    if (count == 0)
-        return;
+    check.rows(uncore::kSharedCacheFields, c, fallback);
     if (c.blockBytes <= 0 || (c.blockBytes & (c.blockBytes - 1)) != 0) {
-        diags.add(Severity::Error, comp, "block",
-                  "block size must be a power of two (got " +
-                      std::to_string(c.blockBytes) + ")");
+        check.rule(Severity::Error, "block",
+                   "block size must be a power of two (got " +
+                       std::to_string(c.blockBytes) + ")");
     }
-    if (c.assoc < 0) {
-        diags.add(Severity::Error, comp, "assoc",
-                  "negative associativity (" + std::to_string(c.assoc) +
-                      ")");
-    }
-    if (c.capacityBytes <= 0) {
-        diags.add(Severity::Error, comp, size_key, "empty capacity");
-    }
-    if (c.banks <= 0) {
-        diags.add(Severity::Error, comp, "banks",
-                  "bank count must be positive (got " +
-                      std::to_string(c.banks) + ")");
-    }
-    if (c.clockRate <= 0.0) {
-        diags.add(Severity::Error, comp, "clock_rate_mhz",
-                  "clock rate must be positive");
-    }
-    checkCacheGeometry(diags, comp, size_key, c.capacityBytes,
-                       c.blockBytes, c.assoc);
+    checkCacheGeometry(check, "size_kb", c.capacityBytes, c.blockBytes,
+                       c.assoc);
 }
 
 void
-checkNoc(DiagnosticList &diags, const SystemParams &p)
+checkNoc(DiagnosticList &diags, const SystemParams &p,
+         const uncore::NocParams &fallback)
 {
     const uncore::NocParams &n = p.noc;
-    const std::string &comp = n.name;
-
-    if (n.nodesX < 1 || n.nodesY < 1) {
-        diags.add(Severity::Error, comp, "nodes_x",
-                  "interconnect needs at least a 1x1 node grid (got " +
-                      std::to_string(n.nodesX) + "x" +
-                      std::to_string(n.nodesY) + ")");
-    }
-    if (n.flitBits < 1) {
-        diags.add(Severity::Error, comp, "flit_bits",
-                  "flit width must be at least one bit");
-    }
-    if (n.clockRate <= 0.0) {
-        diags.add(Severity::Error, comp, "clock_rate_mhz",
-                  "clock rate must be positive");
-    }
-    if (n.linkLength < 0.0) {
-        diags.add(Severity::Error, comp, "link_length_mm",
-                  "negative link length");
-    }
+    ComponentCheck check(diags, n.name);
+    check.rows(uncore::kNocFields, n, fallback);
 
     // For grid topologies the node count should relate to the
     // population it connects: one node per core (or per core cluster),
@@ -172,12 +208,12 @@ checkNoc(DiagnosticList &diags, const SystemParams &p)
             cores >= 1 && (cores % nodes == 0 || nodes % cores == 0);
         const bool matches_l2 = p.numL2 > 0 && nodes == p.numL2;
         if (!matches_cores && !matches_l2) {
-            diags.add(Severity::Warning, comp, "nodes_x",
-                      "mesh of " + std::to_string(nodes) +
-                          " nodes is unrelated to the core count (" +
-                          std::to_string(cores) +
-                          ") or L2 instance count (" +
-                          std::to_string(p.numL2) + ")");
+            check.rule(Severity::Warning, "nodes_x",
+                       "mesh of " + std::to_string(nodes) +
+                           " nodes is unrelated to the core count (" +
+                           std::to_string(cores) +
+                           ") or L2 instance count (" +
+                           std::to_string(p.numL2) + ")");
         }
     }
 }
@@ -187,89 +223,39 @@ checkNoc(DiagnosticList &diags, const SystemParams &p)
 DiagnosticList
 SystemParams::check() const
 {
+    // Struct defaults: a field left at its default is never flagged.
+    static const SystemParams fallback;
     DiagnosticList diags;
 
-    // --- Technology operating point. -----------------------------------
-    if (nodeNm < tech::kMinTechNode || nodeNm > tech::kMaxTechNode) {
-        diags.add(Severity::Error, name, "technology_node",
-                  "technology node " + std::to_string(nodeNm) +
-                      " nm outside the table range [" +
-                      std::to_string(tech::kMinTechNode) + ", " +
-                      std::to_string(tech::kMaxTechNode) + "]");
-    }
-    if (temperature < 233.0 || temperature > 420.0) {
-        diags.add(Severity::Error, name, "temperature",
-                  "temperature " + std::to_string(temperature) +
-                      " K outside the modeled range [233, 420]");
-    }
-    if (vdd != 0.0 && (vdd < 0.2 || vdd > 2.5)) {
-        diags.add(Severity::Error, name, "vdd",
-                  "supply override " + std::to_string(vdd) +
-                      " V outside the plausible range [0.2, 2.5]");
-    }
-    if (whiteSpaceFraction < 0.0 || whiteSpaceFraction > 0.6) {
-        diags.add(Severity::Error, name, "white_space",
-                  "white-space fraction outside [0, 0.6]");
-    }
-
-    // --- Core population. ----------------------------------------------
+    // --- Technology operating point and core population. ----------------
+    ComponentCheck system(diags, name);
+    system.rows(kSystemFields, *this, fallback);
     if (totalCores() < 1) {
-        diags.add(Severity::Error, name, "core_count",
-                  "system needs at least one core");
+        system.rule(Severity::Error, "core_count",
+                    "system needs at least one core");
     }
-    for (const auto &g : resolvedCoreGroups())
-        checkCoreGroup(diags, g);
+    if (coreGroups.empty())
+        checkCore(diags, core, fallback.core, numCores);
+    for (const auto &g : coreGroups)
+        checkCore(diags, g.core, fallback.core, g.count);
 
-    // --- Shared caches. ------------------------------------------------
-    checkSharedCache(diags, "size_kb", l2, numL2);
-    checkSharedCache(diags, "size_kb", l3, numL3);
-
-    // --- Directory. ----------------------------------------------------
+    // --- Uncore: only the components present. ------------------------
+    checkSharedCache(diags, l2, fallback.l2, numL2);
+    checkSharedCache(diags, l3, fallback.l3, numL3);
     if (hasDirectory) {
-        if (directory.trackedLines < 1) {
-            diags.add(Severity::Error, directory.name, "tracked_lines",
-                      "directory must track at least one line");
-        }
-        if (directory.sharers < 1) {
-            diags.add(Severity::Error, directory.name, "sharers",
-                      "presence vector needs at least one sharer bit");
-        }
+        ComponentCheck(diags, directory.name)
+            .rows(uncore::kDirectoryFields, directory, fallback.directory);
     }
-
-    // --- Interconnect. -------------------------------------------------
     if (hasNoc)
-        checkNoc(diags, *this);
-
-    // --- Memory controller and I/O. ------------------------------------
+        checkNoc(diags, *this, fallback.noc);
     if (hasMemCtrl) {
-        if (memCtrl.channels < 1) {
-            diags.add(Severity::Error, memCtrl.name, "channels",
-                      "memory controller needs at least one channel");
-        }
-        if (memCtrl.dataBusBits < 1) {
-            diags.add(Severity::Error, memCtrl.name, "bus_width",
-                      "data bus must be at least one bit wide");
-        }
-        if (memCtrl.busClock <= 0.0) {
-            diags.add(Severity::Error, memCtrl.name, "bus_clock_mhz",
-                      "bus clock must be positive");
-        }
+        ComponentCheck(diags, memCtrl.name)
+            .rows(uncore::kMemCtrlFields, memCtrl, fallback.memCtrl);
     }
     if (hasIo) {
-        if (io.signalPins < 0) {
-            diags.add(Severity::Error, io.name, "pins",
-                      "negative signal pin count");
-        }
-        if (io.ioVoltage <= 0.0) {
-            diags.add(Severity::Error, io.name, "io_voltage",
-                      "I/O signaling voltage must be positive");
-        }
-        if (io.toggleRate < 0.0 || io.toggleRate > 1.0) {
-            diags.add(Severity::Error, io.name, "toggle_rate",
-                      "toggle rate outside [0, 1]");
-        }
+        ComponentCheck(diags, io.name)
+            .rows(uncore::kChipIoFields, io, fallback.io);
     }
-
     return diags;
 }
 

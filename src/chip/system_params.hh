@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/diagnostics.hh"
+#include "common/field_table.hh"
 #include "core/core_params.hh"
 #include "uncore/chip_io.hh"
 #include "uncore/directory.hh"
@@ -26,6 +27,8 @@ struct CoreGroup
 {
     core::CoreParams core;
     int count = 1;
+
+    bool operator==(const CoreGroup &) const = default;
 };
 
 /**
@@ -81,18 +84,39 @@ struct SystemParams
     double whiteSpaceFraction = 0.10;
 
     /**
-     * Cross-field consistency pass.  Returns every problem found —
-     * range violations, cache geometry that does not divide evenly,
-     * per-component invariant failures (Error severity), plus advisory
-     * mismatches such as a commit width above the issue width or mesh
-     * dimensions unrelated to the core count (Warning severity).
-     * Never throws.
+     * Consistency pass.  Returns every problem found — a present
+     * component's field outside its XML row (one left at its struct
+     * default is never flagged), cache geometry that does not divide
+     * evenly, per-component invariant failures (Error severity), plus
+     * advisory mismatches such as a commit width above the issue width
+     * (Warning severity).  Reports each field once; never throws.
      */
     DiagnosticList check() const;
 
     /** Throw a ValidationError when check() finds any errors. */
     void validate() const;
+
+    bool operator==(const SystemParams &) const = default;
 };
+
+/** SystemParams' own XML rows (common/field_table.hh); each component
+ *  has its table next to its params struct. */
+inline constexpr auto kSystemFields = [](auto &&visit, auto &...s) {
+    using namespace fields;
+    visit(Field{"technology_node",
+                Int{tech::kMinTechNode, tech::kMaxTechNode}, kRequired},
+          s.nodeNm...);
+    visit(Field{"temperature", Real{233.0, 420.0}}, s.temperature...);
+    visit(Field{"device_type", OneOf{tech::kFlavorSpellings}}, s.coreFlavor...);
+    visit(Field{"interconnect_projection", OneOf{tech::kProjectionSpellings}},
+          s.projection...);
+    visit(Field{"core_count", Int{1, 65536}, kRequired}, s.numCores...);
+    visit(Field{"vdd", Real{0.2, 2.5}}, s.vdd...);
+    visit(Field{"white_space", Real{0.0, 0.6}}, s.whiteSpaceFraction...);
+};
+
+/** The instance count an L2 or L3 component gives numL2 / numL3. */
+inline constexpr fields::Field kCacheCountField{"count", fields::Int{1, 1024}};
 
 } // namespace chip
 } // namespace mcpat

@@ -53,6 +53,9 @@ constexpr double nJ = 1e-9;
 constexpr double MHz = 1e6;
 constexpr double GHz = 1e9;
 
+// Storage.
+constexpr double KiB = 1024.0;  ///< bytes
+
 // Area.
 constexpr double mm2 = 1e-6;   ///< square millimeters in m^2
 constexpr double um2 = 1e-12;  ///< square micrometers in m^2

@@ -3,22 +3,18 @@
  * XML-to-parameters mapping with strict, located validation.
  *
  * Every <param> value is parsed as a full token (no "64kb"-style
- * truncation), checked against a per-key range or enum constraint, and
- * every violation is recorded as a Diagnostic carrying the component
- * id, key, and XML source line.  All problems in a file are collected
- * before loadSystemParams throws one ValidationError summarizing them.
+ * truncation), checked against its field-table row's range or enum
+ * spellings, and every violation is recorded as a Diagnostic carrying
+ * the component id, key, and XML source line.  All problems in a file
+ * are collected before loadSystemParams throws one ValidationError
+ * summarizing them.
  */
 
 #include "config/xml_loader.hh"
 
-#include <functional>
-#include <initializer_list>
-#include <limits>
-#include <map>
-#include <set>
-#include <utility>
-
 #include <algorithm>
+#include <map>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/strict_parse.hh"
@@ -28,13 +24,63 @@ namespace config {
 
 namespace {
 
+// Parse one <param> value by its row's rule into @p out: the error
+// message, or "" when @p out took the value.
+
+std::string
+parse(const std::string &text, const fields::Int &r, int &out)
+{
+    long long v = 0;
+    if (!common::parseLongStrict(text, v)) {
+        return "invalid integer '" + text +
+               "' (the whole value must be a decimal number)";
+    }
+    if (v < r.lo || v > r.hi)
+        return fields::rangeMessage(text, r);
+    out = static_cast<int>(v);
+    return {};
+}
+
+std::string
+parse(const std::string &text, const fields::Real &r, double &out)
+{
+    double v = 0.0;
+    if (!common::parseDoubleStrict(text, v)) {
+        return "invalid number '" + text +
+               "' (the whole value must be a finite number)";
+    }
+    if (v < r.lo || v > r.hi)
+        return fields::rangeMessage(text, r);
+    out = v * r.scale;
+    return {};
+}
+
+std::string
+parse(const std::string &text, const fields::Flag &, bool &out)
+{
+    if (common::parseBoolStrict(text, out))
+        return {};
+    return "invalid boolean '" + text + "' (use 1/0, true/false, or yes/no)";
+}
+
+template <class E>
+std::string
+parse(const std::string &text, const fields::OneOf<E> &r, E &out)
+{
+    for (const fields::Spelling<E> &s : r.spellings) {
+        if (text == s.name) {
+            out = s.value;
+            return {};
+        }
+    }
+    return fields::spellingMessage(text, r);
+}
+
 /**
- * Typed access to one component's <param> entries.
- *
- * Parse or constraint failures are recorded in the shared
- * DiagnosticList (with component/key/line context); the output
- * variable keeps its previous value, so the caller's defaults are never
- * clobbered by garbage.
+ * One component's <param> entries, read through field tables.  A
+ * failure is a located diagnostic and leaves the member at its
+ * previous value, so garbage never clobbers a default; entries no row
+ * read are reported as unknown when the reader goes.
  */
 class ParamReader
 {
@@ -55,347 +101,63 @@ class ParamReader
         }
     }
 
+    ParamReader(const ParamReader &) = delete;
+    ParamReader &operator=(const ParamReader &) = delete;
+
     ~ParamReader()
     {
         for (const auto &[key, entry] : _values) {
-            if (!_consumed.count(key)) {
+            if (!entry.read) {
                 _diags.add(Severity::Warning, _component, key,
                            "unknown param '" + key + "'", entry.line);
             }
         }
     }
 
-    bool
-    has(const std::string &key) const
-    {
-        return _values.count(key) > 0;
-    }
-
-    /** Record an error when a required key is absent. */
+    /** Name each missing required key of @p table, then apply its
+     *  rows to @p obj in table order. */
+    template <class Table, class P>
     void
-    require(const std::string &key)
+    read(const Table &table, P &obj)
     {
-        if (!has(key)) {
-            _diags.add(Severity::Error, _component, key,
-                       "required param '" + key + "' is missing",
-                       _line);
-        }
-    }
-
-    void
-    getInt(const std::string &key, int &out, long long min,
-           long long max)
-    {
-        const Entry *e = fetch(key);
-        if (!e)
-            return;
-        long long v = 0;
-        if (!common::parseLongStrict(e->value, v)) {
-            error(key, *e,
-                  "invalid integer '" + e->value +
-                      "' (the whole value must be a decimal number)");
-            return;
-        }
-        if (v < min || v > max) {
-            error(key, *e,
-                  "value " + e->value + " out of range [" +
-                      std::to_string(min) + ", " + std::to_string(max) +
-                      "]");
-            return;
-        }
-        out = static_cast<int>(v);
-    }
-
-    void
-    getDouble(const std::string &key, double &out, double min,
-              double max)
-    {
-        const Entry *e = fetch(key);
-        if (!e)
-            return;
-        double v = 0.0;
-        if (!common::parseDoubleStrict(e->value, v)) {
-            error(key, *e,
-                  "invalid number '" + e->value +
-                      "' (the whole value must be a finite number)");
-            return;
-        }
-        if (v < min || v > max) {
-            error(key, *e,
-                  "value " + e->value + " out of range [" +
-                      std::to_string(min) + ", " + std::to_string(max) +
-                      "]");
-            return;
-        }
-        out = v;
-    }
-
-    void
-    getBool(const std::string &key, bool &out)
-    {
-        const Entry *e = fetch(key);
-        if (!e)
-            return;
-        bool v = false;
-        if (!common::parseBoolStrict(e->value, v)) {
-            error(key, *e,
-                  "invalid boolean '" + e->value +
-                      "' (use 1/0, true/false, or yes/no)");
-            return;
-        }
-        out = v;
-    }
-
-    /**
-     * Match the value against an allowed-spellings table.  Unknown
-     * tokens are rejected (they used to fall through to a silent
-     * default for several keys).
-     */
-    template <typename T>
-    void
-    getEnum(const std::string &key, T &out,
-            std::initializer_list<std::pair<const char *, T>> allowed)
-    {
-        const Entry *e = fetch(key);
-        if (!e)
-            return;
-        for (const auto &[name, v] : allowed) {
-            if (e->value == name) {
-                out = v;
-                return;
+        table([this](const auto &f, auto &) {
+            if (f.required && !_values.contains(f.key)) {
+                _diags.add(Severity::Error, _component, f.key,
+                           "required param '" + std::string(f.key) +
+                               "' is missing", _line);
             }
-        }
-        std::string expect;
-        for (const auto &[name, v] : allowed) {
-            (void)v;
-            expect += expect.empty() ? name : std::string(", ") + name;
-        }
-        error(key, *e,
-              "invalid value '" + e->value + "' (allowed: " + expect +
-                  ")");
+        }, obj);
+        table(*this, obj);
     }
 
-    const std::string &component() const { return _component; }
+    /** Apply one row to its entry, when the component has one. */
+    template <class Rule, class T>
+    void
+    operator()(const fields::Field<Rule> &f, T &out)
+    {
+        const auto it = _values.find(std::string_view(f.key));
+        if (it == _values.end())
+            return;
+        Entry &e = it->second;
+        e.read = true;
+        const std::string error = parse(e.value, f.rule, out);
+        if (!error.empty())
+            _diags.add(Severity::Error, _component, f.key, error, e.line);
+    }
 
   private:
     struct Entry
     {
         std::string value;
         int line = 0;
+        bool read = false;
     };
 
-    const Entry *
-    fetch(const std::string &key)
-    {
-        _consumed.insert(key);
-        auto it = _values.find(key);
-        return it == _values.end() ? nullptr : &it->second;
-    }
-
-    void
-    error(const std::string &key, const Entry &e,
-          const std::string &message)
-    {
-        (void)e;
-        _diags.add(Severity::Error, _component, key, message,
-                   _values.at(key).line);
-    }
-
-    std::map<std::string, Entry> _values;
-    std::set<std::string> _consumed;
+    std::map<std::string, Entry, std::less<>> _values;
     std::string _component;
     DiagnosticList &_diags;
     int _line = 0;
 };
-
-constexpr long long kMaxCount = 1 << 20;  ///< generic structure bound
-
-/** Allowed device-flavor spellings. */
-constexpr std::initializer_list<std::pair<const char *,
-                                          tech::DeviceFlavor>>
-    kFlavors = {{"HP", tech::DeviceFlavor::HP},
-                {"hp", tech::DeviceFlavor::HP},
-                {"LSTP", tech::DeviceFlavor::LSTP},
-                {"lstp", tech::DeviceFlavor::LSTP},
-                {"LOP", tech::DeviceFlavor::LOP},
-                {"lop", tech::DeviceFlavor::LOP}};
-
-void
-loadCore(const XmlNode &node, core::CoreParams &c,
-         DiagnosticList &diags)
-{
-    ParamReader p(node, diags);
-    p.require("clock_rate_mhz");
-    double mhz = c.clockRate / MHz;
-    p.getDouble("clock_rate_mhz", mhz, 1.0, 100000.0);
-    c.clockRate = mhz * MHz;
-
-    p.getBool("out_of_order", c.outOfOrder);
-    p.getBool("x86", c.x86);
-    p.getInt("threads", c.threads, 1, 128);
-    p.getInt("fetch_width", c.fetchWidth, 1, 32);
-    p.getInt("decode_width", c.decodeWidth, 1, 32);
-    p.getInt("issue_width", c.issueWidth, 1, 32);
-    p.getInt("commit_width", c.commitWidth, 1, 32);
-    p.getInt("pipeline_depth", c.pipelineStages, 3, 64);
-    p.getDouble("dynamic_margin", c.dynamicMargin, 1.0, 5.0);
-    p.getBool("power_gating", c.powerGating);
-
-    p.getInt("rob_size", c.robEntries, 8, kMaxCount);
-    p.getInt("instruction_window_size", c.intWindowEntries, 2,
-             kMaxCount);
-    p.getInt("fp_instruction_window_size", c.fpWindowEntries, 1,
-             kMaxCount);
-    p.getInt("phy_int_regs", c.physIntRegs, 1, kMaxCount);
-    p.getInt("phy_fp_regs", c.physFpRegs, 1, kMaxCount);
-    p.getInt("arch_int_regs", c.archIntRegs, 1, kMaxCount);
-    p.getInt("arch_fp_regs", c.archFpRegs, 1, kMaxCount);
-
-    p.getEnum("rat_style", c.ratStyle,
-              {{"ram", logic::RatStyle::Ram},
-               {"cam", logic::RatStyle::Cam}});
-
-    p.getInt("alu_count", c.intAlus, 1, 64);
-    p.getInt("fpu_count", c.fpus, 0, 64);
-    p.getInt("mul_count", c.muls, 0, 64);
-    p.getBool("has_fpu", c.hasFpu);
-    p.getBool("has_branch_predictor", c.hasBranchPredictor);
-
-    p.getInt("load_queue_size", c.loadQueueEntries, 1, kMaxCount);
-    p.getInt("store_queue_size", c.storeQueueEntries, 1, kMaxCount);
-    p.getInt("itlb_entries", c.itlbEntries, 1, kMaxCount);
-    p.getInt("dtlb_entries", c.dtlbEntries, 1, kMaxCount);
-
-    p.getInt("btb_entries", c.predictor.btbEntries, 1, kMaxCount);
-    p.getInt("local_predictor_entries", c.predictor.localEntries, 1,
-             kMaxCount);
-    p.getInt("global_predictor_entries", c.predictor.globalEntries, 1,
-             kMaxCount);
-    p.getInt("chooser_predictor_entries", c.predictor.chooserEntries,
-             1, kMaxCount);
-    p.getInt("ras_size", c.predictor.rasEntries, 1, kMaxCount);
-
-    double icache_kb = c.icache.capacityBytes / 1024.0;
-    p.getDouble("icache_kb", icache_kb, 0.125, 65536.0);
-    c.icache.capacityBytes = icache_kb * 1024.0;
-    p.getInt("icache_block", c.icache.blockBytes, 4, 4096);
-    p.getInt("icache_assoc", c.icache.assoc, 0, 128);
-    p.getInt("icache_banks", c.icache.banks, 1, 1024);
-
-    double dcache_kb = c.dcache.capacityBytes / 1024.0;
-    p.getDouble("dcache_kb", dcache_kb, 0.125, 65536.0);
-    c.dcache.capacityBytes = dcache_kb * 1024.0;
-    p.getInt("dcache_block", c.dcache.blockBytes, 4, 4096);
-    p.getInt("dcache_assoc", c.dcache.assoc, 0, 128);
-    p.getInt("dcache_banks", c.dcache.banks, 1, 1024);
-}
-
-void
-loadSharedCache(const XmlNode &node, uncore::SharedCacheParams &l,
-                int &count, DiagnosticList &diags)
-{
-    ParamReader p(node, diags);
-    p.getInt("count", count, 1, 1024);
-    double kb = l.capacityBytes / 1024.0;
-    p.getDouble("size_kb", kb, 1.0, 1048576.0);
-    l.capacityBytes = kb * 1024.0;
-    p.getInt("block", l.blockBytes, 4, 4096);
-    p.getInt("assoc", l.assoc, 0, 128);
-    p.getInt("banks", l.banks, 1, 1024);
-    p.getInt("ports", l.ports, 1, 16);
-    p.getInt("directory_sharers", l.directorySharers, 0, 4096);
-    double mhz = l.clockRate / MHz;
-    p.getDouble("clock_rate_mhz", mhz, 1.0, 100000.0);
-    l.clockRate = mhz * MHz;
-    p.getEnum("device_type", l.flavor, kFlavors);
-    p.getEnum("cell_type", l.dataCell,
-              {{"SRAM", array::CellType::SRAM},
-               {"sram", array::CellType::SRAM},
-               {"EDRAM", array::CellType::EDRAM},
-               {"edram", array::CellType::EDRAM}});
-    l.name = node.attr("id").empty() ? l.name : node.attr("id");
-}
-
-void
-loadNoc(const XmlNode &node, uncore::NocParams &n,
-        DiagnosticList &diags)
-{
-    ParamReader p(node, diags);
-    p.getEnum("topology", n.topology,
-              {{"mesh", uncore::NocTopology::Mesh2D},
-               {"torus", uncore::NocTopology::Torus2D},
-               {"ring", uncore::NocTopology::Ring},
-               {"bus", uncore::NocTopology::Bus},
-               {"crossbar", uncore::NocTopology::Crossbar}});
-
-    p.getInt("nodes_x", n.nodesX, 1, 1024);
-    p.getInt("nodes_y", n.nodesY, 1, 1024);
-    p.getInt("flit_bits", n.flitBits, 1, 4096);
-    double link_mm = n.linkLength / mm;
-    // 0 keeps the "derive from tile pitch" behavior.
-    p.getDouble("link_length_mm", link_mm, 0.0, 100.0);
-    n.linkLength = link_mm * mm;
-    double mhz = n.clockRate / MHz;
-    p.getDouble("clock_rate_mhz", mhz, 1.0, 100000.0);
-    n.clockRate = mhz * MHz;
-    p.getInt("virtual_channels", n.router.virtualChannels, 1, 64);
-    p.getInt("buffer_depth", n.router.bufferDepth, 1, 1024);
-    p.getBool("low_swing_links", n.lowSwingLinks);
-}
-
-void
-loadMemCtrl(const XmlNode &node, uncore::MemCtrlParams &m,
-            DiagnosticList &diags)
-{
-    ParamReader p(node, diags);
-    p.getInt("channels", m.channels, 1, 64);
-    p.getInt("bus_width", m.dataBusBits, 1, 1024);
-    double mhz = m.busClock / MHz;
-    p.getDouble("bus_clock_mhz", mhz, 1.0, 100000.0);
-    m.busClock = mhz * MHz;
-    p.getEnum("dram_type", m.dramType,
-              {{"DDR2", uncore::DramType::DDR2},
-               {"DDR3", uncore::DramType::DDR3},
-               {"FBDIMM", uncore::DramType::FbDimm},
-               {"FbDimm", uncore::DramType::FbDimm},
-               {"RDRAM", uncore::DramType::Rdram},
-               {"Rdram", uncore::DramType::Rdram}});
-    p.getInt("request_queue", m.requestQueueEntries, 1, kMaxCount);
-}
-
-void
-loadChipIo(const XmlNode &node, uncore::ChipIoParams &io,
-           DiagnosticList &diags)
-{
-    ParamReader p(node, diags);
-    p.getInt("pins", io.signalPins, 1, 100000);
-    p.getDouble("io_voltage", io.ioVoltage, 0.1, 5.0);
-    double pin_cap_pf = io.pinCap / pF;
-    p.getDouble("pin_cap_pf", pin_cap_pf, 0.01, 100.0);
-    io.pinCap = pin_cap_pf * pF;
-    p.getDouble("toggle_rate", io.toggleRate, 0.0, 1.0);
-    double mhz = io.busClock / MHz;
-    p.getDouble("bus_clock_mhz", mhz, 1.0, 100000.0);
-    io.busClock = mhz * MHz;
-    p.getDouble("static_power", io.staticPower, 0.0, 1000.0);
-}
-
-void
-loadDirectory(const XmlNode &node, uncore::DirectoryParams &d,
-              DiagnosticList &diags)
-{
-    ParamReader p(node, diags);
-    p.getEnum("style", d.style,
-              {{"sparse", uncore::DirectoryStyle::SparseFullMap},
-               {"duplicate_tags",
-                uncore::DirectoryStyle::DuplicateTags}});
-    p.getInt("tracked_lines", d.trackedLines, 1, 1 << 28);
-    p.getInt("sharers", d.sharers, 1, 4096);
-    p.getInt("banks", d.banks, 1, 1024);
-    double dir_mhz = d.clockRate / MHz;
-    p.getDouble("clock_rate_mhz", dir_mhz, 1.0, 100000.0);
-    d.clockRate = dir_mhz * MHz;
-}
 
 } // namespace
 
@@ -408,62 +170,53 @@ loadSystemParams(const XmlNode &root)
     LoadResult out;
     chip::SystemParams &s = out.system;
     s.name = root.hasAttr("id") ? root.attr("id") : s.name;
+    DiagnosticList &diags = out.diagnostics;
 
-    {
-        ParamReader p(root, out.diagnostics);
-        p.require("technology_node");
-        p.require("core_count");
-        p.getInt("technology_node", s.nodeNm, 22, 180);
-        p.getDouble("temperature", s.temperature, 233.0, 420.0);
-        p.getEnum("device_type", s.coreFlavor, kFlavors);
-        p.getEnum("interconnect_projection", s.projection,
-                  {{"aggressive", tech::WireProjection::Aggressive},
-                   {"conservative",
-                    tech::WireProjection::Conservative}});
-        p.getInt("core_count", s.numCores, 1, 65536);
-        p.getDouble("vdd", s.vdd, 0.2, 2.5);
-        p.getDouble("white_space", s.whiteSpaceFraction, 0.0, 0.6);
-    }
+    ParamReader(root, diags).read(chip::kSystemFields, s);
 
     bool saw_core = false;
     for (const XmlNode *comp : root.childrenNamed("component")) {
         const std::string &type = comp->attr("type");
+        const auto load = [&](const auto &table, auto &obj) {
+            ParamReader(*comp, diags).read(table, obj);
+        };
         if (type == "Core") {
-            loadCore(*comp, s.core, out.diagnostics);
+            load(core::kCoreFields, s.core);
             saw_core = true;
-        } else if (type == "L2") {
-            s.numL2 = 1;
-            loadSharedCache(*comp, s.l2, s.numL2, out.diagnostics);
-        } else if (type == "L3") {
-            s.numL3 = 1;
-            loadSharedCache(*comp, s.l3, s.numL3, out.diagnostics);
+        } else if (type == "L2" || type == "L3") {
+            int &count = type == "L2" ? s.numL2 : s.numL3;
+            uncore::SharedCacheParams &l = type == "L2" ? s.l2 : s.l3;
+            count = 1;
+            ParamReader p(*comp, diags);
+            p(chip::kCacheCountField, count);
+            p.read(uncore::kSharedCacheFields, l);
+            l.name = comp->attr("id").empty() ? l.name : comp->attr("id");
         } else if (type == "Directory") {
             s.hasDirectory = true;
-            loadDirectory(*comp, s.directory, out.diagnostics);
+            load(uncore::kDirectoryFields, s.directory);
         } else if (type == "Noc") {
             s.hasNoc = true;
-            loadNoc(*comp, s.noc, out.diagnostics);
+            load(uncore::kNocFields, s.noc);
         } else if (type == "MemoryController") {
             s.hasMemCtrl = true;
-            loadMemCtrl(*comp, s.memCtrl, out.diagnostics);
+            load(uncore::kMemCtrlFields, s.memCtrl);
         } else if (type == "ChipIo") {
             s.hasIo = true;
-            loadChipIo(*comp, s.io, out.diagnostics);
+            load(uncore::kChipIoFields, s.io);
         } else {
-            out.diagnostics.add(
-                Severity::Warning, s.name, "",
-                "unknown component type '" + type + "'", comp->line);
+            diags.add(Severity::Warning, s.name, "",
+                      "unknown component type '" + type + "'",
+                      comp->line);
         }
     }
     if (!saw_core) {
-        out.diagnostics.add(
-            Severity::Error, s.name, "",
-            "configuration has no <component type=\"Core\">",
-            root.line);
+        diags.add(Severity::Error, s.name, "",
+                  "configuration has no <component type=\"Core\">",
+                  root.line);
     }
 
     // Legacy string mirror of the Warning-severity diagnostics.
-    for (const auto &d : out.diagnostics) {
+    for (const auto &d : diags) {
         if (d.severity != Severity::Warning)
             continue;
         if (!d.key.empty()) {
@@ -475,7 +228,7 @@ loadSystemParams(const XmlNode &root)
         }
     }
 
-    out.diagnostics.throwIfErrors("configuration '" + s.name + "'");
+    diags.throwIfErrors("configuration '" + s.name + "'");
     return out;
 }
 
@@ -547,10 +300,9 @@ rate(const std::map<std::string, double> &counters,
 
 /** Apply a core component's simulator counters over the TDP defaults. */
 void
-applyCoreCounters(const XmlNode &node, const chip::SystemParams &sys,
-                  core::CoreStats &c, DiagnosticList &diags)
+applyCoreCounters(const std::map<std::string, double> &counters,
+                  const chip::SystemParams &sys, core::CoreStats &c)
 {
-    const auto counters = readStats(node, diags);
     auto cyc = counters.find("total_cycles");
     if (cyc == counters.end())
         return;  // no counters: keep the defaults
@@ -668,8 +420,8 @@ loadChipStats(const XmlNode &root, const chip::SystemParams &params)
     for (const XmlNode *comp : root.childrenNamed("component")) {
         const std::string &type = comp->attr("type");
         if (type == "Core") {
-            applyCoreCounters(*comp, params, s.perCore, diags);
             const auto counters = readStats(*comp, diags);
+            applyCoreCounters(counters, params, s.perCore);
             auto it = counters.find("total_cycles");
             if (it != counters.end())
                 core_cycles = it->second;

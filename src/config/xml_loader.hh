@@ -2,20 +2,10 @@
  * @file
  * Mapping from the McPAT-style XML schema to typed system parameters.
  *
- * Schema (see the files under configs/ for full examples):
- *
- *   <component id="system" type="System">
- *     <param name="technology_node" value="90"/>
- *     <param name="core_count" value="8"/>
- *     <component id="system.core" type="Core">
- *       <param name="clock_rate_mhz" value="1200"/>
- *       ...
- *     </component>
- *     <component id="system.l2" type="L2"> ... </component>
- *     <component id="system.noc" type="Noc"> ... </component>
- *     <component id="system.mc" type="MemoryController"> ... </component>
- *     <component id="system.io" type="ChipIo"> ... </component>
- *   </component>
+ * A <component type="System"> root holds Core, L2, L3, Directory, Noc,
+ * MemoryController and ChipIo components (see configs/).  The <param>
+ * keys each accepts are the rows of its params struct's field table
+ * (common/field_table.hh; kSystemFields, core::kCoreFields, ...).
  *
  * Runtime statistics ride on <stat name="..." value="..."/> entries
  * (see loadChipStats).

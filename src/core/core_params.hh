@@ -13,6 +13,8 @@
 #include <string>
 
 #include "array/cache_model.hh"
+#include "common/field_table.hh"
+#include "common/units.hh"
 #include "logic/renaming_logic.hh"
 
 namespace mcpat {
@@ -113,6 +115,68 @@ struct CoreParams
     void validate() const;
 
     auto operator<=>(const CoreParams &) const = default;
+};
+
+inline constexpr fields::Spelling<logic::RatStyle> kRatStyleSpellings[] = {
+    {"ram", logic::RatStyle::Ram}, {"cam", logic::RatStyle::Cam}};
+
+/** CoreParams' XML rows (common/field_table.hh), with its predictor's
+ *  and L1 caches'. */
+inline constexpr auto kCoreFields = [](auto &&visit, auto &...c) {
+    using namespace fields;
+    visit(Field{"clock_rate_mhz", kClockMhz, kRequired}, c.clockRate...);
+    visit(Field{"out_of_order", Flag{}}, c.outOfOrder...);
+    visit(Field{"x86", Flag{}}, c.x86...);
+    visit(Field{"threads", Int{1, 128}}, c.threads...);
+    visit(Field{"fetch_width", Int{1, 32}}, c.fetchWidth...);
+    visit(Field{"decode_width", Int{1, 32}}, c.decodeWidth...);
+    visit(Field{"issue_width", Int{1, 32}}, c.issueWidth...);
+    visit(Field{"commit_width", Int{1, 32}}, c.commitWidth...);
+    visit(Field{"pipeline_depth", Int{3, 64}}, c.pipelineStages...);
+    visit(Field{"dynamic_margin", Real{1.0, 5.0}}, c.dynamicMargin...);
+    visit(Field{"power_gating", Flag{}}, c.powerGating...);
+
+    visit(Field{"rob_size", Int{8, kCount.hi}}, c.robEntries...);
+    visit(Field{"instruction_window_size", Int{2, kCount.hi}},
+          c.intWindowEntries...);
+    visit(Field{"fp_instruction_window_size", kCount}, c.fpWindowEntries...);
+    visit(Field{"phy_int_regs", kCount}, c.physIntRegs...);
+    visit(Field{"phy_fp_regs", kCount}, c.physFpRegs...);
+    visit(Field{"arch_int_regs", kCount}, c.archIntRegs...);
+    visit(Field{"arch_fp_regs", kCount}, c.archFpRegs...);
+    visit(Field{"rat_style", OneOf{kRatStyleSpellings}}, c.ratStyle...);
+
+    visit(Field{"alu_count", Int{1, 64}}, c.intAlus...);
+    visit(Field{"fpu_count", Int{0, 64}}, c.fpus...);
+    visit(Field{"mul_count", Int{0, 64}}, c.muls...);
+    visit(Field{"has_fpu", Flag{}}, c.hasFpu...);
+    visit(Field{"has_branch_predictor", Flag{}}, c.hasBranchPredictor...);
+
+    visit(Field{"load_queue_size", kCount}, c.loadQueueEntries...);
+    visit(Field{"store_queue_size", kCount}, c.storeQueueEntries...);
+    visit(Field{"itlb_entries", kCount}, c.itlbEntries...);
+    visit(Field{"dtlb_entries", kCount}, c.dtlbEntries...);
+
+    visit(Field{"btb_entries", kCount}, c.predictor.btbEntries...);
+    visit(Field{"local_predictor_entries", kCount},
+          c.predictor.localEntries...);
+    visit(Field{"global_predictor_entries", kCount},
+          c.predictor.globalEntries...);
+    visit(Field{"chooser_predictor_entries", kCount},
+          c.predictor.chooserEntries...);
+    visit(Field{"ras_size", kCount}, c.predictor.rasEntries...);
+
+    visit(Field{"icache_kb", Real{0.125, 65536.0, KiB}},
+          c.icache.capacityBytes...);
+    visit(Field{"icache_block", Int{4, 4096}}, c.icache.blockBytes...);
+    visit(Field{"icache_assoc", Int{0, 128}}, c.icache.assoc...);
+    visit(Field{"icache_banks", Int{1, 1024}}, c.icache.banks...);
+
+    visit(Field{"dcache_kb", Real{0.125, 65536.0, KiB}},
+          c.dcache.capacityBytes...);
+    visit(Field{"dcache_block", Int{4, 4096}}, c.dcache.blockBytes...);
+    visit(Field{"dcache_assoc", Int{0, 128}}, c.dcache.assoc...);
+    visit(Field{"dcache_banks", Int{1, 1024}}, c.dcache.banks...);
 };
 
 } // namespace core

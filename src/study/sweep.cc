@@ -12,7 +12,6 @@
 #include <iostream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "chip/processor.hh"
 #include "common/cancel.hh"
@@ -513,20 +512,15 @@ runCaseStudy(double work)
                                 SweepJournalOptions{});
 }
 
-namespace {
-
-/** Fixed-width numeric cell; "-" for non-finite values. */
 std::string
 numberCell(double v)
 {
     if (!std::isfinite(v))
         return "-";
-    std::ostringstream os;
-    os << std::setprecision(4) << v;
-    return os.str();
+    std::string out;
+    appendNumber(out, v, 4);
+    return out;
 }
-
-} // namespace
 
 void
 printDesignPointWorkloads(std::ostream &os, const DesignPointResult &r)

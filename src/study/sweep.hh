@@ -233,6 +233,9 @@ void appendSweepPointFields(std::string &out, const DesignPointResult &r);
 void printDesignPointWorkloads(std::ostream &os,
                                const DesignPointResult &r);
 
+/** A text-table number cell: `%.4g`, or "-" for a non-finite value. */
+std::string numberCell(double v);
+
 } // namespace study
 } // namespace mcpat
 

@@ -12,7 +12,6 @@
 #include <map>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "chip/report_writer.hh"
 #include "common/diagnostics.hh"
@@ -247,20 +246,6 @@ runSweepSearch(const SweepSpace &space, const SweepSearchOptions &opts)
     return result;
 }
 
-namespace {
-
-std::string
-searchCell(double v)
-{
-    if (!std::isfinite(v))
-        return "-";
-    std::ostringstream os;
-    os << std::setprecision(4) << v;
-    return os.str();
-}
-
-} // namespace
-
 void
 printSweepSearchResult(std::ostream &os, const SweepSpace &space,
                        const SweepSearchResult &r)
@@ -282,12 +267,12 @@ printSweepSearchResult(std::ostream &os, const SweepSpace &space,
         const DesignPointResult &res = p.result;
         os << "  " << std::left << std::setw(26) << res.config.label()
            << std::right << std::setw(10)
-           << searchCell(res.area / (mm * mm)) << std::setw(10)
-           << searchCell(res.tdp) << std::setw(12)
-           << searchCell(res.meanMetrics.ed) << std::setw(12)
-           << searchCell(res.meanMetrics.ed2) << std::setw(12)
-           << searchCell(res.meanMetrics.eda) << std::setw(12)
-           << searchCell(res.meanMetrics.ed2a) << "\n";
+           << numberCell(res.area / (mm * mm)) << std::setw(10)
+           << numberCell(res.tdp) << std::setw(12)
+           << numberCell(res.meanMetrics.ed) << std::setw(12)
+           << numberCell(res.meanMetrics.ed2) << std::setw(12)
+           << numberCell(res.meanMetrics.eda) << std::setw(12)
+           << numberCell(res.meanMetrics.ed2a) << "\n";
     }
     os << "Search: " << r.fullEvaluations << " full evaluations + "
        << r.replayed << " journal replays over " << r.rounds

@@ -26,6 +26,7 @@
 #include <compare>
 #include <vector>
 
+#include "common/field_table.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -40,6 +41,15 @@ enum class WireLayer { Local = 0, Intermediate = 1, Global = 2 };
 
 /** ITRS interconnect projection. */
 enum class WireProjection { Aggressive = 0, Conservative = 1 };
+
+/** The XML spellings of each device flavor and wire projection. */
+inline constexpr fields::Spelling<DeviceFlavor> kFlavorSpellings[] = {
+    {"HP", DeviceFlavor::HP},     {"hp", DeviceFlavor::HP},
+    {"LSTP", DeviceFlavor::LSTP}, {"lstp", DeviceFlavor::LSTP},
+    {"LOP", DeviceFlavor::LOP},   {"lop", DeviceFlavor::LOP}};
+inline constexpr fields::Spelling<WireProjection> kProjectionSpellings[] = {
+    {"aggressive", WireProjection::Aggressive},
+    {"conservative", WireProjection::Conservative}};
 
 constexpr int numDeviceFlavors = 3;
 constexpr int numWireLayers = 3;

@@ -8,6 +8,7 @@
 #ifndef MCPAT_UNCORE_CHIP_IO_HH
 #define MCPAT_UNCORE_CHIP_IO_HH
 
+#include "common/field_table.hh"
 #include "common/report.hh"
 #include "tech/technology.hh"
 
@@ -28,6 +29,17 @@ struct ChipIoParams
     double staticPower = 0.5;     ///< bias/termination, W
 
     auto operator<=>(const ChipIoParams &) const = default;
+};
+
+/** ChipIoParams' XML rows (common/field_table.hh). */
+inline constexpr auto kChipIoFields = [](auto &&visit, auto &...io) {
+    using namespace fields;
+    visit(Field{"pins", Int{1, 100000}}, io.signalPins...);
+    visit(Field{"io_voltage", Real{0.1, 5.0}}, io.ioVoltage...);
+    visit(Field{"pin_cap_pf", Real{0.01, 100.0, pF}}, io.pinCap...);
+    visit(Field{"toggle_rate", Real{0.0, 1.0}}, io.toggleRate...);
+    visit(Field{"bus_clock_mhz", kClockMhz}, io.busClock...);
+    visit(Field{"static_power", Real{0.0, 1000.0}}, io.staticPower...);
 };
 
 /**

@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "array/array_model.hh"
+#include "common/field_table.hh"
 
 namespace mcpat {
 namespace uncore {
@@ -45,6 +46,20 @@ struct DirectoryParams
     tech::DeviceFlavor flavor = tech::DeviceFlavor::HP;
 
     auto operator<=>(const DirectoryParams &) const = default;
+};
+
+inline constexpr fields::Spelling<DirectoryStyle> kDirectoryStyleSpellings[] =
+    {{"sparse", DirectoryStyle::SparseFullMap},
+     {"duplicate_tags", DirectoryStyle::DuplicateTags}};
+
+/** DirectoryParams' XML rows (common/field_table.hh). */
+inline constexpr auto kDirectoryFields = [](auto &&visit, auto &...d) {
+    using namespace fields;
+    visit(Field{"style", OneOf{kDirectoryStyleSpellings}}, d.style...);
+    visit(Field{"tracked_lines", Int{1, 1 << 28}}, d.trackedLines...);
+    visit(Field{"sharers", Int{1, 4096}}, d.sharers...);
+    visit(Field{"banks", Int{1, 1024}}, d.banks...);
+    visit(Field{"clock_rate_mhz", kClockMhz}, d.clockRate...);
 };
 
 /** Per-cycle directory traffic. */

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "array/array_model.hh"
+#include "common/field_table.hh"
 #include "logic/arbiter.hh"
 
 namespace mcpat {
@@ -37,6 +38,21 @@ struct MemCtrlParams
     double peakBandwidth = 0.0;
 
     auto operator<=>(const MemCtrlParams &) const = default;
+};
+
+inline constexpr fields::Spelling<DramType> kDramSpellings[] = {
+    {"DDR2", DramType::DDR2},     {"DDR3", DramType::DDR3},
+    {"FBDIMM", DramType::FbDimm}, {"FbDimm", DramType::FbDimm},
+    {"RDRAM", DramType::Rdram},   {"Rdram", DramType::Rdram}};
+
+/** MemCtrlParams' XML rows (common/field_table.hh). */
+inline constexpr auto kMemCtrlFields = [](auto &&visit, auto &...m) {
+    using namespace fields;
+    visit(Field{"channels", Int{1, 64}}, m.channels...);
+    visit(Field{"bus_width", Int{1, 1024}}, m.dataBusBits...);
+    visit(Field{"bus_clock_mhz", kClockMhz}, m.busClock...);
+    visit(Field{"dram_type", OneOf{kDramSpellings}}, m.dramType...);
+    visit(Field{"request_queue", kCount}, m.requestQueueEntries...);
 };
 
 /**

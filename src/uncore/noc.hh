@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "common/field_table.hh"
 #include "uncore/router.hh"
 
 namespace mcpat {
@@ -42,6 +43,26 @@ struct NocParams
     int nodes() const { return nodesX * nodesY; }
 
     auto operator<=>(const NocParams &) const = default;
+};
+
+inline constexpr fields::Spelling<NocTopology> kTopologySpellings[] = {
+    {"mesh", NocTopology::Mesh2D}, {"torus", NocTopology::Torus2D},
+    {"ring", NocTopology::Ring},   {"bus", NocTopology::Bus},
+    {"crossbar", NocTopology::Crossbar}};
+
+/** NocParams' XML rows (common/field_table.hh), its routers' with it. */
+inline constexpr auto kNocFields = [](auto &&visit, auto &...n) {
+    using namespace fields;
+    visit(Field{"topology", OneOf{kTopologySpellings}}, n.topology...);
+    visit(Field{"nodes_x", Int{1, 1024}}, n.nodesX...);
+    visit(Field{"nodes_y", Int{1, 1024}}, n.nodesY...);
+    visit(Field{"flit_bits", Int{1, 4096}}, n.flitBits...);
+    // 0 keeps the "derive from tile pitch" behavior.
+    visit(Field{"link_length_mm", Real{0.0, 100.0, mm}}, n.linkLength...);
+    visit(Field{"clock_rate_mhz", kClockMhz}, n.clockRate...);
+    visit(Field{"virtual_channels", Int{1, 64}}, n.router.virtualChannels...);
+    visit(Field{"buffer_depth", Int{1, 1024}}, n.router.bufferDepth...);
+    visit(Field{"low_swing_links", Flag{}}, n.lowSwingLinks...);
 };
 
 /**

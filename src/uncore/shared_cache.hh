@@ -11,6 +11,7 @@
 
 #include "array/cache_model.hh"
 #include "circuit/clock_network.hh"
+#include "common/field_table.hh"
 
 namespace mcpat {
 namespace uncore {
@@ -44,6 +45,25 @@ struct SharedCacheParams
     int physicalAddressBits = 42;
 
     auto operator<=>(const SharedCacheParams &) const = default;
+};
+
+inline constexpr fields::Spelling<array::CellType> kCellTypeSpellings[] = {
+    {"SRAM", array::CellType::SRAM}, {"sram", array::CellType::SRAM},
+    {"EDRAM", array::CellType::EDRAM}, {"edram", array::CellType::EDRAM}};
+
+/** SharedCacheParams' XML rows (common/field_table.hh); the component
+ *  id names the cache and chip::kCacheCountField counts it. */
+inline constexpr auto kSharedCacheFields = [](auto &&visit, auto &...l) {
+    using namespace fields;
+    visit(Field{"size_kb", Real{1.0, 1048576.0, KiB}}, l.capacityBytes...);
+    visit(Field{"block", Int{4, 4096}}, l.blockBytes...);
+    visit(Field{"assoc", Int{0, 128}}, l.assoc...);
+    visit(Field{"banks", Int{1, 1024}}, l.banks...);
+    visit(Field{"ports", Int{1, 16}}, l.ports...);
+    visit(Field{"directory_sharers", Int{0, 4096}}, l.directorySharers...);
+    visit(Field{"clock_rate_mhz", kClockMhz}, l.clockRate...);
+    visit(Field{"device_type", OneOf{tech::kFlavorSpellings}}, l.flavor...);
+    visit(Field{"cell_type", OneOf{kCellTypeSpellings}}, l.dataCell...);
 };
 
 /**

@@ -21,22 +21,12 @@
 #include "common/logging.hh"
 #include "study/batch.hh"
 
+#include "test_inputs.hh"
+
 using namespace mcpat;
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return fs::absolute(prefix + name).string();
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 fs::path
 scratchDir(const std::string &tag)
@@ -100,7 +90,8 @@ TEST(Batch, WritesOneJsonAndCsvReportPerInput)
 {
     const fs::path dir = scratchDir("reports");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -139,7 +130,7 @@ TEST(Batch, WritesOneJsonAndCsvReportPerInput)
 TEST(Batch, DuplicateStemsGetUniqueOutputs)
 {
     const fs::path dir = scratchDir("dupes");
-    const std::string cfg = findConfig("niagara.xml");
+    const std::string cfg = fs::absolute(findConfig("niagara.xml")).string();
     const std::string list = writeList(dir, {cfg, cfg});
 
     study::BatchOptions opts;
@@ -160,7 +151,8 @@ TEST(Batch, FailingInputIsIsolatedAndCounted)
     const fs::path dir = scratchDir("failure");
     std::ofstream(dir / "broken.xml") << "this is not xml";
     const std::string list = writeList(dir,
-        {(dir / "broken.xml").string(), findConfig("niagara.xml"),
+        {(dir / "broken.xml").string(),
+         fs::absolute(findConfig("niagara.xml")).string(),
          (dir / "missing.xml").string()});
 
     study::BatchOptions opts;
@@ -183,7 +175,8 @@ TEST(Batch, SecondPassHitsDiskAndReproducesBytes)
 {
     const fs::path dir = scratchDir("twopasses");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("niagara2.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("niagara2.xml")).string()});
 
     auto &cache = array::ArrayResultCache::instance();
     const bool was_enabled = cache.enabled();
@@ -243,7 +236,7 @@ namespace {
 std::string
 writeWarningConfig(const fs::path &dir)
 {
-    const std::string src = findConfig("niagara.xml");
+    const std::string src = fs::absolute(findConfig("niagara.xml")).string();
     std::string text = slurp(src);
     const std::string anchor = "<param name=\"technology_node\"";
     const auto pos = text.find(anchor);
@@ -323,7 +316,8 @@ TEST(Batch, SidecarsWrittenOnSuccessStillWork)
 TEST(Batch, SummaryCsvFailureIsFlaggedAndWarned)
 {
     const fs::path dir = scratchDir("summary_fail");
-    const std::string list = writeList(dir, {findConfig("niagara.xml")});
+    const std::string list =
+        writeList(dir, {fs::absolute(findConfig("niagara.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -348,7 +342,8 @@ TEST(Batch, SummaryCsvFailureIsFlaggedAndWarned)
 TEST(Batch, SummaryCsvSuccessSetsPathAndNoError)
 {
     const fs::path dir = scratchDir("summary_ok");
-    const std::string list = writeList(dir, {findConfig("niagara.xml")});
+    const std::string list =
+        writeList(dir, {fs::absolute(findConfig("niagara.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <functional>
 
 #include "chip/processor.hh"
@@ -15,21 +14,11 @@
 #include "perf/activity_gen.hh"
 #include "study/sweep.hh"
 
+#include "test_inputs.hh"
+
 using namespace mcpat;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        const std::string path = prefix + name;
-        if (std::ifstream(path).good())
-            return path;
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 /** Recursively verify parent totals cover their children. */
 void

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
 #include <map>
 #include <string>
 #include <tuple>
@@ -25,21 +24,11 @@
 #include "study/eval_core.hh"
 #include "study/sweep.hh"
 
+#include "test_inputs.hh"
+
 using namespace mcpat;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return prefix + name;
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 /** RAII guard: pin the thread count, restore the default afterwards. */
 struct ThreadCountGuard

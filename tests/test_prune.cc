@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -23,20 +21,11 @@
 #include "common/parallel.hh"
 #include "config/xml_loader.hh"
 
+#include "test_inputs.hh"
+
 using namespace mcpat;
 
 namespace {
-
-std::string
-findConfigDir()
-{
-    for (const std::string prefix :
-         {"configs", "../configs", "../../configs"}) {
-        if (std::filesystem::is_directory(prefix))
-            return prefix;
-    }
-    throw ConfigError("cannot find configs/");
-}
 
 /** RAII guard: force the shape-table search on/off, restore the prior
  *  setting. */
@@ -281,11 +270,9 @@ TEST(Prune, SubarrayShapesAreBuiltOncePerSolve)
 
 TEST(Prune, EveryShippedConfigBitIdentical)
 {
-    const std::string dir = findConfigDir();
     std::vector<std::string> configs;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-        if (e.path().extension() == ".xml")
-            configs.push_back(e.path().string());
+    for (const char *name : kShippedConfigs)
+        configs.push_back(findConfig(name));
     std::sort(configs.begin(), configs.end());
     ASSERT_FALSE(configs.empty());
 

@@ -32,22 +32,12 @@
 #include "study/eval_core.hh"
 #include "study/sweep.hh"
 
+#include "test_inputs.hh"
+
 using namespace mcpat;
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return fs::absolute(prefix + name).string();
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 fs::path
 scratchDir(const std::string &tag)
@@ -280,7 +270,7 @@ TEST(CancelToken, AmbientCheckpointUsesTheInstalledToken)
 TEST(EvalDeadline, BlownBudgetComesBackAsStructuredTimeout)
 {
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = fs::absolute(findConfig("niagara.xml")).string();
     req.timeoutMs = 1e-6;  // armed, and already elapsed at first check
     const study::EvalResult res = study::evaluate(req);
     EXPECT_FALSE(res.ok);
@@ -294,7 +284,7 @@ TEST(EvalDeadline, GlobalStopComesBackAsInterrupt)
 {
     cancel::requestStop(SIGINT);
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = fs::absolute(findConfig("niagara.xml")).string();
     const study::EvalResult res = study::evaluate(req);
     cancel::clearStop();
     EXPECT_FALSE(res.ok);
@@ -314,7 +304,7 @@ niagaraEval()
 {
     static const study::EvalResult res = [] {
         study::EvalRequest req;
-        req.configPath = findConfig("niagara.xml");
+        req.configPath = fs::absolute(findConfig("niagara.xml")).string();
         req.wantReportJson = false;
         return study::evaluate(req);
     }();
@@ -421,7 +411,7 @@ TEST(InvariantAudit, StrictModeEscalatesSeededViolations)
     // Strict single evaluations must fail when the audit reports
     // anything; a clean shipped config must still pass strict.
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = fs::absolute(findConfig("niagara.xml")).string();
     req.strict = true;
     req.wantReportJson = false;
     const study::EvalResult res = study::evaluate(req);
@@ -436,7 +426,8 @@ TEST(BatchResume, ReplaysJournaledItemsByteIdentically)
 {
     const fs::path dir = scratchDir("resume");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -493,7 +484,8 @@ TEST(BatchResume, ReplaysJournaledItemsByteIdentically)
 TEST(BatchResume, MismatchedJournalHeaderStartsFresh)
 {
     const fs::path dir = scratchDir("resume_mismatch");
-    const std::string list = writeList(dir, {findConfig("niagara.xml")});
+    const std::string list =
+        writeList(dir, {fs::absolute(findConfig("niagara.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -505,7 +497,8 @@ TEST(BatchResume, MismatchedJournalHeaderStartsFresh)
     // matches, so -resume must ignore it rather than replay stale
     // results against a different input set.
     const std::string list2 = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string()});
     study::BatchOptions resumeOpts = opts;
     resumeOpts.resume = true;
     std::ostringstream log2;
@@ -520,7 +513,8 @@ TEST(BatchResume, TornTailResumeKeepsLaterRecordsReadable)
 {
     const fs::path dir = scratchDir("resume_torn");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -574,7 +568,8 @@ TEST(BatchResume, FailedJournalCommitWarnsOnceAndKeepsResults)
         GTEST_SKIP() << "no /dev/full on this platform";
     const fs::path dir = scratchDir("journal_full");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "reference").string();
@@ -620,7 +615,8 @@ TEST(BatchResume, TimedOutItemFailsButTheBatchContinues)
 {
     const fs::path dir = scratchDir("timeout");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -643,7 +639,8 @@ TEST(BatchResume, PendingStopInterruptsBeforeTheNextItem)
 {
     const fs::path dir = scratchDir("interrupt");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string()});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -906,8 +903,9 @@ TEST(BatchResume, SigkilledRunResumesToByteIdenticalOutput)
 {
     const fs::path dir = scratchDir("sigkill");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml"),
-         findConfig("xeon_tulsa.xml")});
+        {fs::absolute(findConfig("niagara.xml")).string(),
+         fs::absolute(findConfig("alpha21364.xml")).string(),
+         fs::absolute(findConfig("xeon_tulsa.xml")).string()});
     const std::string outKilled = (dir / "killed").string();
     const std::string outFresh = (dir / "fresh").string();
 

@@ -27,22 +27,12 @@
 #include "study/eval_core.hh"
 #include "study/server.hh"
 
+#include "test_inputs.hh"
+
 using namespace mcpat;
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return fs::absolute(prefix + name).string();
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 /** Short unique Unix socket path (sun_path caps at ~107 chars). */
 std::string
@@ -154,7 +144,7 @@ TEST(JsonValue, RoundTripsEscapedReportDocuments)
 TEST(EvalCore, EvaluatesShippedConfigWithRenderedArtifacts)
 {
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = fs::absolute(findConfig("niagara.xml")).string();
     req.wantReportCsv = true;
     req.wantManifest = true;
     const study::EvalResult res = study::evaluate(req);
@@ -171,7 +161,7 @@ TEST(EvalCore, EvaluatesShippedConfigWithRenderedArtifacts)
 
 TEST(EvalCore, InlineXmlMatchesFileEvaluation)
 {
-    const std::string path = findConfig("niagara.xml");
+    const std::string path = fs::absolute(findConfig("niagara.xml")).string();
     std::ifstream in(path);
     std::stringstream ss;
     ss << in.rdbuf();
@@ -215,7 +205,7 @@ TEST(EvalCore, InvalidConfigYieldsLocatedDiagnostics)
 
 TEST(EvalCore, RuntimeStatErrorsFollowLoadWarnings)
 {
-    std::ifstream in(findConfig("niagara_runtime.xml"));
+    std::ifstream in(fs::absolute(findConfig("niagara_runtime.xml")).string());
     std::stringstream ss;
     ss << in.rdbuf();
     std::string xml = ss.str();
@@ -262,7 +252,7 @@ TEST(EvalCore, Gem5StatsReplaceTheConfigActivity)
                "---------- End Simulation Statistics   ----------\n";
     }
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = fs::absolute(findConfig("niagara.xml")).string();
     const study::EvalResult plain = study::evaluate(req);
     req.gem5StatsPath = stats_path;
     const study::EvalResult gem5 = study::evaluate(req);
@@ -307,7 +297,7 @@ TEST(Server, PingStatsAndShutdown)
 
 TEST(Server, ConcurrentRequestsByteIdenticalToSingleShot)
 {
-    const std::string config = findConfig("niagara.xml");
+    const std::string config = fs::absolute(findConfig("niagara.xml")).string();
 
     // The reference: what the single-shot CLI's -json writes.
     study::EvalRequest ref_req;
@@ -440,7 +430,7 @@ TEST(Server, MalformedRequestYieldsDiagnosticAndServerKeepsServing)
 
 TEST(Server, InlineXmlRequestAndManifest)
 {
-    const std::string path = findConfig("niagara.xml");
+    const std::string path = fs::absolute(findConfig("niagara.xml")).string();
     std::ifstream in(path);
     std::stringstream ss;
     ss << in.rdbuf();
@@ -475,7 +465,7 @@ TEST(Server, ResultCacheRepeatsVerbatimAndInvalidatesOnEdit)
         (fs::temp_directory_path() /
          ("mcpat_rc_" + std::to_string(::getpid()) + ".xml"))
             .string();
-    fs::copy_file(findConfig("niagara.xml"), copy,
+    fs::copy_file(fs::absolute(findConfig("niagara.xml")).string(), copy,
                   fs::copy_options::overwrite_existing);
 
     TestServer ts(2);
@@ -509,7 +499,7 @@ TEST(Server, ResultCacheRepeatsVerbatimAndInvalidatesOnEdit)
 
 TEST(Server, BlownDeadlineIsA504AndTheServerKeepsServing)
 {
-    const std::string config = findConfig("niagara.xml");
+    const std::string config = fs::absolute(findConfig("niagara.xml")).string();
     TestServer ts(2);
 
     // A request-side budget that has already elapsed by the first
@@ -537,7 +527,7 @@ TEST(Server, ServerDefaultTimeoutTightenedByRequest)
 {
     // Server-wide budget small: an untagged request times out; a
     // request cannot *loosen* the server's policy with a larger value.
-    const std::string config = findConfig("niagara.xml");
+    const std::string config = fs::absolute(findConfig("niagara.xml")).string();
     TestServer ts(1, 32, false, /*eval_timeout_ms=*/0.000001);
 
     common::JsonValue v = rpc(ts.ep,

@@ -9,10 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 
 #include "chip/processor.hh"
 #include "config/xml_loader.hh"
+
+#include "test_inputs.hh"
 
 using namespace mcpat;
 
@@ -34,19 +35,6 @@ void
 PrintTo(const Published &pub, std::ostream *os)
 {
     *os << pub.file;
-}
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        const std::string path = prefix + name;
-        if (std::ifstream(path).good())
-            return path;
-    }
-    throw ConfigError("cannot find configs/" + name +
-                      " (run tests from the repo root or build tree)");
 }
 
 chip::Processor

@@ -30,21 +30,11 @@
 #include "config/xml_loader.hh"
 #include "study/batch.hh"
 
+#include "test_inputs.hh"
+
 using namespace mcpat;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return prefix + name;
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 std::string
 slurpFile(const std::string &path)
@@ -374,6 +364,37 @@ TEST(StrictParse, NonFiniteStatRejected)
     const auto loaded = config::loadSystemParams(root);
     EXPECT_THROW(config::loadChipStats(root, loaded.system),
                  ValidationError);
+}
+
+TEST(StrictParse, BadCoreStatReportedOnce)
+{
+    // Each malformed Core <stat> is one diagnostic: the Core's stats
+    // are read once for both the counters and total_cycles.
+    const std::string text = slurpFile(findConfig("niagara_runtime.xml"));
+    const std::size_t core_at = text.find("type=\"Core\"");
+    const std::size_t core_end = text.find("</component>", core_at);
+    ASSERT_NE(core_end, std::string::npos);
+    int mutated = 0;
+    for (const FieldSite &s : findFieldSites(text)) {
+        if (!s.isStat || s.elemBegin < core_at || s.elemBegin > core_end)
+            continue;
+        std::string mutant = text;
+        mutant.replace(s.valueBegin, s.valueLen, "lots");
+        const auto root = config::parseXmlString(mutant);
+        const auto loaded = config::loadSystemParams(root);
+        try {
+            (void)config::loadChipStats(root, loaded.system);
+            ADD_FAILURE() << s.key << "=\"lots\" was accepted";
+        } catch (const ValidationError &e) {
+            std::size_t naming = 0;
+            for (const Diagnostic &d : e.diagnostics())
+                naming += d.key == s.key;
+            EXPECT_EQ(naming, 1u) << e.what();
+            EXPECT_EQ(e.diagnostics().size(), 1u) << e.what();
+        }
+        ++mutated;
+    }
+    EXPECT_GT(mutated, 0);
 }
 
 // ---------------------------------------------------------------------
