@@ -6,6 +6,7 @@
 #include "array/array_model.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <iterator>
@@ -20,7 +21,6 @@
 #include "circuit/wire.hh"
 #include "common/cancel.hh"
 #include "common/instrument.hh"
-#include "common/parallel.hh"
 
 namespace mcpat {
 namespace array {
@@ -45,19 +45,27 @@ constexpr double bankRoutingOverhead = 1.65;
  */
 constexpr double peripheryEnergyFactor = 1.8;
 
-const int kPartitions[] = {1, 2, 4, 8, 16, 32};
-const double kFoldings[] = {0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
-
-/** The organization at a given canonical grid index. */
-ArrayOrg
-orgFromIndex(std::size_t idx)
+/** log2 of each entry of a table of powers of two. */
+template <typename T, std::size_t N>
+constexpr std::array<int, N>
+exactLog2s(const T (&v)[N])
 {
-    const std::size_t n_part = std::size(kPartitions);
-    const std::size_t n_fold = std::size(kFoldings);
-    return ArrayOrg{kPartitions[idx / (n_part * n_fold)],
-                    kPartitions[(idx / n_fold) % n_part],
-                    kFoldings[idx % n_fold]};
+    std::array<int, N> e{};
+    for (std::size_t i = 0; i < N; ++i)
+        for (double x = v[i]; x != 1.0; x = x < 1.0 ? x * 2 : x / 2)
+            e[i] += x < 1.0 ? -1 : 1;
+    return e;
 }
+
+constexpr auto kPartLog = exactLog2s(kPartitions);
+constexpr auto kFoldLog = exactLog2s(kFoldings);
+constexpr auto kPartLogs = std::ranges::minmax(kPartLog);
+constexpr auto kFoldLogs = std::ranges::minmax(kFoldLog);
+/** Least log2(nspd * ndbl) and log2(nspd / ndwl), and their spans. */
+constexpr int kRowLog0 = kFoldLogs.min + kPartLogs.min;
+constexpr int kColLog0 = kFoldLogs.min - kPartLogs.max;
+constexpr int kRowSpan = kFoldLogs.max + kPartLogs.max - kRowLog0 + 1;
+constexpr int kColSpan = kFoldLogs.max - kPartLogs.min - kColLog0 + 1;
 
 /** Rows per bank, rounded up; every organization of a solve shares it. */
 int
@@ -118,14 +126,6 @@ struct ArrayModel::Candidate
     double score = 0.0;
 };
 
-/** Subarray shape implied by an organization, with feasibility. */
-struct ArrayModel::OrgGeometry
-{
-    int subRows = 0;
-    int subCols = 0;
-    bool feasible = false;
-};
-
 ArrayModel::ArrayModel(ArrayParams params, const Technology &t,
                        OptimizationWeights weights)
     : _params(std::move(params)),
@@ -155,30 +155,72 @@ ArrayModel::ArrayModel(ArrayParams params, const Technology &t,
     cache.insert(key, {_result, _meetsTiming});
 }
 
-ArrayModel::OrgGeometry
-ArrayModel::orgGeometry(const ArrayOrg &org, int rows_per_bank,
-                        int row_bits)
+/** Whether @p org may split a bank into sub_rows x sub_cols subarrays. */
+static bool
+feasible(const ArrayOrg &org, int sub_rows, int sub_cols,
+         int rows_per_bank, int row_bits)
 {
-    const double eff_rows = rows_per_bank / org.nspd;
-    const double eff_cols = row_bits * org.nspd;
-
-    OrgGeometry g;
-    g.subRows = static_cast<int>(std::ceil(eff_rows / org.ndbl));
-    g.subCols = static_cast<int>(std::ceil(eff_cols / org.ndwl));
-
     // Reject degenerate shapes: too small to be a real subarray or too
     // large for acceptable wordline/bitline RC.
-    if (g.subRows < 4 || g.subCols < 4)
-        return g;
-    if (g.subRows > 1024 || g.subCols > 2048)
-        return g;
+    if (sub_rows < 4 || sub_cols < 4 || sub_rows > 1024 || sub_cols > 2048)
+        return false;
     // Don't partition beyond the data: keep every subarray meaningful.
-    if (org.ndbl > 1 && g.subRows * (org.ndbl - 1) >= eff_rows)
-        return g;
-    if (org.ndwl > 1 && g.subCols * (org.ndwl - 1) >= eff_cols)
-        return g;
-    g.feasible = true;
+    return (org.ndbl == 1 ||
+            sub_rows * (org.ndbl - 1) < rows_per_bank / org.nspd) &&
+           (org.ndwl == 1 ||
+            sub_cols * (org.ndwl - 1) < row_bits * org.nspd);
+}
+
+OrgGeometry
+orgGeometry(const ArrayOrg &org, int rows_per_bank, int row_bits)
+{
+    OrgGeometry g;
+    g.subRows = static_cast<int>(
+        std::ceil(rows_per_bank / org.nspd / org.ndbl));
+    g.subCols = static_cast<int>(std::ceil(row_bits * org.nspd / org.ndwl));
+    g.feasible = feasible(org, g.subRows, g.subCols, rows_per_bank,
+                          row_bits);
     return g;
+}
+
+OrgListing
+listOrganizations(int rows_per_bank, int row_bits)
+{
+    // Every partition and folding is a power of two, so orgGeometry's
+    // divisions are exact scalings: subRows depends only on
+    // a = log2(nspd * ndbl) and subCols only on b = log2(nspd / ndwl).
+    // Halving a count of at least 4 always changes it, so a feasible
+    // (subRows, subCols) comes from exactly one (a, b) cell, which
+    // numbers its shape.
+    int sub_rows[kRowSpan], sub_cols[kColSpan], slot[kRowSpan][kColSpan];
+    for (int a = 0; a < kRowSpan; ++a)
+        sub_rows[a] = static_cast<int>(
+            std::ceil(std::ldexp(rows_per_bank, -(a + kRowLog0))));
+    for (int b = 0; b < kColSpan; ++b)
+        sub_cols[b] = static_cast<int>(
+            std::ceil(std::ldexp(row_bits, b + kColLog0)));
+    std::fill(&slot[0][0], &slot[0][0] + kRowSpan * kColSpan, -1);
+
+    OrgListing out;
+    out.orgs.reserve(std::size(kPartitions) * std::size(kPartitions) *
+                     std::size(kFoldings));
+    for (std::size_t w = 0; w < std::size(kPartitions); ++w)
+        for (std::size_t d = 0; d < std::size(kPartitions); ++d)
+            for (std::size_t f = 0; f < std::size(kFoldings); ++f) {
+                const ArrayOrg org{kPartitions[w], kPartitions[d],
+                                   kFoldings[f]};
+                const int a = kFoldLog[f] + kPartLog[d] - kRowLog0;
+                const int b = kFoldLog[f] - kPartLog[w] - kColLog0;
+                if (!feasible(org, sub_rows[a], sub_cols[b],
+                              rows_per_bank, row_bits))
+                    continue;
+                if (slot[a][b] < 0)
+                    slot[a][b] = static_cast<int>(out.shapes++);
+                out.orgs.push_back(
+                    {org, {sub_rows[a], sub_cols[b], true},
+                     static_cast<std::size_t>(slot[a][b])});
+            }
+    return out;
 }
 
 std::optional<ArrayModel::Candidate>
@@ -335,21 +377,15 @@ ArrayModel::evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,
 void
 ArrayModel::searchExhaustive(std::vector<Candidate> &cands) const
 {
-    // Evaluate the full candidate grid in parallel: each organization
-    // writes its own slot, then feasible candidates are collected in
-    // the same (ndwl, ndbl, nspd) order the serial triple loop used,
-    // keeping the selected optimum (including tie-breaks) identical.
-    const std::size_t n_orgs = std::size(kPartitions) *
-                               std::size(kPartitions) *
-                               std::size(kFoldings);
-    std::vector<std::optional<Candidate>> slots(n_orgs);
-    parallel::parallelFor(n_orgs, [&](std::size_t idx) {
-        cancel::checkpoint();
-        slots[idx] = evaluate(orgFromIndex(idx));
-    });
-    for (auto &slot : slots)
-        if (slot)
-            cands.push_back(std::move(*slot));
+    // Evaluate the full candidate grid in canonical (ndwl, ndbl, nspd)
+    // order, building a fresh Subarray for every feasible organization.
+    for (const int ndwl : kPartitions)
+        for (const int ndbl : kPartitions)
+            for (const double nspd : kFoldings) {
+                cancel::checkpoint();
+                if (auto c = evaluate({ndwl, ndbl, nspd}))
+                    cands.push_back(std::move(*c));
+            }
     g_evaluated.fetch_add(cands.size(), std::memory_order_relaxed);
 }
 
@@ -358,67 +394,29 @@ ArrayModel::searchShapeTable(std::vector<Candidate> &cands) const
 {
     // Many organizations share one subarray shape (subRows, subCols),
     // and a shape's Subarray and CAM search path depend on nothing else
-    // in the solve.  Each distinct shape is built once, by one task into
-    // its own slot; then every feasible organization is evaluated
-    // against that table into its own slot.  The candidates come out in
-    // canonical grid order, exactly as searchExhaustive lists them, so
-    // selection and its tie-breaks are unchanged.
-    const std::size_t n_orgs = std::size(kPartitions) *
-                               std::size(kPartitions) *
-                               std::size(kFoldings);
-    const int rows_per_bank = rowsPerBank(_params);
-    const int row_bits = _params.rowBits();
-    struct Shape
-    {
-        int rows;
-        int cols;
-        std::optional<Subarray> sub;
-        std::optional<CamSearch> cam;
-    };
-    struct Entry
-    {
-        ArrayOrg org;
-        OrgGeometry geom;
-        std::size_t shape;     ///< index into shapes
-    };
-    std::vector<Shape> shapes;
-    std::vector<Entry> entries;
-    entries.reserve(n_orgs);
-    for (std::size_t idx = 0; idx < n_orgs; ++idx) {
-        const ArrayOrg org = orgFromIndex(idx);
-        const OrgGeometry geom = orgGeometry(org, rows_per_bank, row_bits);
-        if (!geom.feasible)
-            continue;
-        const auto same = [&](const Shape &sh) {
-            return sh.rows == geom.subRows && sh.cols == geom.subCols;
-        };
-        const auto shape = static_cast<std::size_t>(
-            std::find_if(shapes.begin(), shapes.end(), same) -
-            shapes.begin());
-        if (shape == shapes.size())
-            shapes.push_back({geom.subRows, geom.subCols, {}, {}});
-        entries.push_back({org, geom, shape});
+    // in the solve, so each shape is built once, where the listing
+    // first reaches it.  The candidates come out in canonical grid
+    // order, exactly as searchExhaustive lists them, so selection and
+    // its tie-breaks are unchanged.
+    const OrgListing listing =
+        listOrganizations(rowsPerBank(_params), _params.rowBits());
+    std::vector<Subarray> subs;
+    std::vector<CamSearch> cams;  // per shape, CAM arrays only
+    subs.reserve(listing.shapes);
+    cands.reserve(listing.orgs.size());
+    for (const auto &e : listing.orgs) {
+        if (e.shape == subs.size()) {
+            subs.emplace_back(e.geom.subRows, e.geom.subCols,
+                              _params.totalPorts(), _params.cellType, _tech);
+            if (_params.cellType == CellType::CAM)
+                cams.emplace_back(subs.back(), _tech);
+        }
+        cands.push_back(evaluateWith(e.org, e.geom, subs[e.shape],
+                                     cams.empty() ? nullptr
+                                                  : &cams[e.shape]));
     }
-
-    const int ports = _params.totalPorts();
-    const bool is_cam = _params.cellType == CellType::CAM;
-    cancel::checkpoint();
-    parallel::parallelFor(shapes.size(), [&](std::size_t i) {
-        Shape &sh = shapes[i];
-        sh.sub.emplace(sh.rows, sh.cols, ports, _params.cellType, _tech);
-        if (is_cam)
-            sh.cam.emplace(*sh.sub, _tech);
-    });
-    cancel::checkpoint();
-    cands.resize(entries.size());
-    parallel::parallelFor(entries.size(), [&](std::size_t i) {
-        const Entry &e = entries[i];
-        const Shape &sh = shapes[e.shape];
-        cands[i] = evaluateWith(e.org, e.geom, *sh.sub,
-                                sh.cam ? &*sh.cam : nullptr);
-    });
-    g_evaluated.fetch_add(entries.size(), std::memory_order_relaxed);
-    g_subarrays.fetch_add(shapes.size(), std::memory_order_relaxed);
+    g_evaluated.fetch_add(cands.size(), std::memory_order_relaxed);
+    g_subarrays.fetch_add(subs.size(), std::memory_order_relaxed);
 }
 
 void
@@ -483,8 +481,9 @@ ArrayModel::optimize(const OptimizationWeights &weights)
         searchShapeTable(cands);
     else
         searchExhaustive(cands);
-    panicIf(cands.empty(),
-            "array '" + _params.name + "': no feasible organization");
+    if (cands.empty())
+        throw ModelError("array '" + _params.name +
+                         "': no feasible organization");
     if (instr::enabled()) {
         static instr::Histogram &candidates =
             instr::Registry::instance().histogram(

@@ -13,6 +13,7 @@
 #ifndef MCPAT_ARRAY_ARRAY_MODEL_HH
 #define MCPAT_ARRAY_ARRAY_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -52,6 +53,46 @@ void setOptimizerPruning(bool on);
 
 OptimizerSearchStats optimizerSearchStats();
 void resetOptimizerSearchStats();
+
+/**
+ * The partition counts (ndwl, ndbl) and foldings (nspd) the optimizer
+ * crosses into its 216 organizations.  Every entry is a power of two,
+ * which listOrganizations relies on.
+ */
+inline constexpr int kPartitions[] = {1, 2, 4, 8, 16, 32};
+inline constexpr double kFoldings[] = {0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
+
+/** Subarray shape implied by an organization, with feasibility. */
+struct OrgGeometry
+{
+    int subRows = 0;
+    int subCols = 0;
+    bool feasible = false;
+};
+
+/** One organization's subarray shape, by direct division. */
+OrgGeometry orgGeometry(const ArrayOrg &org, int rows_per_bank,
+                        int row_bits);
+
+/** The feasible organizations of one solve and their subarray shapes. */
+struct OrgListing
+{
+    struct Entry
+    {
+        ArrayOrg org;
+        OrgGeometry geom;
+        std::size_t shape;  ///< shape number, in first-seen order
+    };
+    std::vector<Entry> orgs;  ///< canonical (ndwl, ndbl, nspd) order
+    std::size_t shapes = 0;   ///< distinct (subRows, subCols)
+};
+
+/**
+ * Exactly orgGeometry's feasible organizations, in canonical order,
+ * computed in closed form: 22 row and column counts instead of one
+ * division pair per organization.
+ */
+OrgListing listOrganizations(int rows_per_bank, int row_bits);
 
 /**
  * Per-cycle access rates used to turn per-access energies into power.
@@ -122,10 +163,7 @@ class ArrayModel
     bool _meetsTiming = true;
 
     struct Candidate;
-    struct OrgGeometry;
 
-    static OrgGeometry orgGeometry(const ArrayOrg &org, int rows_per_bank,
-                                   int row_bits);
     std::optional<Candidate> evaluate(const ArrayOrg &org) const;
     /** @p cam is the shape's search path, null unless a CAM array. */
     Candidate evaluateWith(const ArrayOrg &org, const OrgGeometry &geom,

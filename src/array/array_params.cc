@@ -46,24 +46,25 @@ ArrayParams::totalPorts() const
 void
 ArrayParams::validate() const
 {
+    // Every array construction validates, so a message is built only
+    // when its check fails.
+    const auto fail = [this](bool cond, const char *what) {
+        if (cond)
+            throw ConfigError("array '" + name + "': " + what);
+    };
     const bool form1 = sizeBytes > 0.0;
     const bool form2 = rows > 0;
-    fatalIf(form1 == form2,
-            "array '" + name + "': specify exactly one of sizeBytes or "
-            "rows x bits");
-    fatalIf(form1 && blockWidthBits <= 0,
-            "array '" + name + "': sizeBytes form requires blockWidthBits");
-    fatalIf(form2 && bits <= 0,
-            "array '" + name + "': rows form requires bits > 0");
-    fatalIf(totalPorts() <= 0,
-            "array '" + name + "': needs at least one port");
-    fatalIf(banks <= 0, "array '" + name + "': banks must be positive");
-    fatalIf(searchPorts > 0 && cellType != CellType::CAM,
-            "array '" + name + "': search ports require CAM cells");
-    fatalIf(cellType == CellType::CAM && searchPorts <= 0,
-            "array '" + name + "': CAM arrays need at least 1 search port");
-    fatalIf(targetCycleTime < 0.0,
-            "array '" + name + "': negative cycle-time target");
+    fail(form1 == form2, "specify exactly one of sizeBytes or rows x bits");
+    fail(form1 && blockWidthBits <= 0,
+         "sizeBytes form requires blockWidthBits");
+    fail(form2 && bits <= 0, "rows form requires bits > 0");
+    fail(totalPorts() <= 0, "needs at least one port");
+    fail(banks <= 0, "banks must be positive");
+    fail(searchPorts > 0 && cellType != CellType::CAM,
+         "search ports require CAM cells");
+    fail(cellType == CellType::CAM && searchPorts <= 0,
+         "CAM arrays need at least 1 search port");
+    fail(targetCycleTime < 0.0, "negative cycle-time target");
 }
 
 } // namespace array

@@ -38,15 +38,18 @@ CacheParams::tagBits() const
 void
 CacheParams::validate() const
 {
-    fatalIf(capacityBytes <= 0, "cache '" + name + "': empty capacity");
-    fatalIf(blockBytes <= 0 ||
-                (blockBytes & (blockBytes - 1)) != 0,
-            "cache '" + name + "': block size must be a power of two");
-    fatalIf(assoc < 0, "cache '" + name + "': negative associativity");
-    fatalIf(capacityBytes < static_cast<double>(blockBytes) *
-                std::max(assoc, 1),
-            "cache '" + name + "': capacity below one set");
-    fatalIf(banks <= 0, "cache '" + name + "': banks must be positive");
+    // A message is built only when its check fails.
+    const auto fail = [this](bool cond, const char *what) {
+        if (cond)
+            throw ConfigError("cache '" + name + "': " + what);
+    };
+    fail(capacityBytes <= 0, "empty capacity");
+    fail(blockBytes <= 0 || (blockBytes & (blockBytes - 1)) != 0,
+         "block size must be a power of two");
+    fail(assoc < 0, "negative associativity");
+    fail(capacityBytes < static_cast<double>(blockBytes) * std::max(assoc, 1),
+         "capacity below one set");
+    fail(banks <= 0, "banks must be positive");
 }
 
 CacheModel::CacheModel(CacheParams params, const Technology &t)

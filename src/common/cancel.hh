@@ -12,11 +12,10 @@
  *    nothing new, unwind what's running, flush results and journals.
  *
  * Both are carried by a CancelToken.  Code that can run long calls
- * cancel::checkpoint() at natural boundaries (per candidate batch in
- * the array-organization search, per design point in a sweep, between
- * evaluation phases); a tripped token throws Cancelled, which unwinds
- * to the evaluation core and becomes a structured diagnostic instead
- * of a dead process.
+ * cancel::checkpoint() at natural boundaries (per array-organization
+ * solve, per design point in a sweep, between evaluation phases); a
+ * tripped token throws Cancelled, which unwinds to the evaluation core
+ * and becomes a structured diagnostic instead of a dead process.
  *
  * Tokens are *ambient*: an evaluation installs its token with
  * ScopedCurrent and everything downstream — including work distributed

@@ -108,8 +108,7 @@ class Pool
         std::lock_guard<std::mutex> submit(_submitMutex);
 
         // Metrics are looked up by name once, on first instrumented
-        // use: an array organization search submits tens of jobs, too
-        // many for a registry lookup (string, mutex, map) on each.
+        // use, so no job pays a registry lookup (string, mutex, map).
         const bool instrumented = instr::enabled();
         if (instrumented) {
             static instr::Counter &jobs =

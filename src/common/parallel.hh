@@ -3,10 +3,12 @@
  * Parallel-evaluation engine: a persistent thread pool with a
  * deterministic parallelFor.
  *
- * McPAT evaluations are embarrassingly parallel at several levels (the
- * 216-candidate array-organization search, per-component chip assembly,
- * case-study design points, per-workload activity evaluation).  This
- * utility parallelizes an index range over a shared worker pool while
+ * McPAT evaluations are embarrassingly parallel at several levels
+ * (per-component chip assembly, case-study and sweep design points,
+ * per-workload activity evaluation).  The array-organization search is
+ * not one of them: a solve is a few tens of microseconds and nearly
+ * always runs inside a component task, so it is a plain serial loop.
+ * This utility parallelizes an index range over a shared worker pool while
  * keeping results bit-identical to the serial path: every index writes
  * into its own pre-allocated slot and all reductions happen serially in
  * index order on the calling thread, so no floating-point sum is ever
@@ -17,9 +19,9 @@
  *   2. the MCPAT_THREADS environment variable;
  *   3. std::thread::hardware_concurrency().
  *
- * Nested parallelFor calls (e.g. an array optimization inside a
- * parallel chip build) run inline on the calling worker, so arbitrary
- * nesting is safe and never oversubscribes or deadlocks.
+ * Nested parallelFor calls (e.g. a chip build inside a parallel sweep
+ * round) run inline on the calling worker, so arbitrary nesting is safe
+ * and never oversubscribes or deadlocks.
  */
 
 #ifndef MCPAT_COMMON_PARALLEL_HH

@@ -50,23 +50,28 @@ CoreParams::fpTagBits() const
 void
 CoreParams::validate() const
 {
-    fatalIf(threads < 1, name + ": thread count must be >= 1");
-    fatalIf(clockRate <= 0.0, name + ": clock rate must be positive");
-    fatalIf(fetchWidth < 1 || decodeWidth < 1 || issueWidth < 1 ||
-                commitWidth < 1,
-            name + ": pipeline widths must be >= 1");
-    fatalIf(pipelineStages < 3, name + ": pipeline too short to model");
+    // A message is built only when its check fails.
+    const auto fail = [this](bool cond, const char *what) {
+        if (cond)
+            throw ConfigError(name + ": " + what);
+    };
+    fail(threads < 1, "thread count must be >= 1");
+    fail(clockRate <= 0.0, "clock rate must be positive");
+    fail(fetchWidth < 1 || decodeWidth < 1 || issueWidth < 1 ||
+             commitWidth < 1,
+         "pipeline widths must be >= 1");
+    fail(pipelineStages < 3, "pipeline too short to model");
     if (outOfOrder) {
-        fatalIf(robEntries < 8, name + ": ROB too small");
-        fatalIf(intWindowEntries < 2, name + ": INT window too small");
-        fatalIf(physIntRegs < archIntRegs,
-                name + ": fewer physical than architectural INT regs");
-        fatalIf(hasFpu && physFpRegs < archFpRegs,
-                name + ": fewer physical than architectural FP regs");
+        fail(robEntries < 8, "ROB too small");
+        fail(intWindowEntries < 2, "INT window too small");
+        fail(physIntRegs < archIntRegs,
+             "fewer physical than architectural INT regs");
+        fail(hasFpu && physFpRegs < archFpRegs,
+             "fewer physical than architectural FP regs");
     }
-    fatalIf(intAlus < 1, name + ": at least one ALU required");
-    fatalIf(loadQueueEntries < 1 || storeQueueEntries < 1,
-            name + ": load/store queues must be non-empty");
+    fail(intAlus < 1, "at least one ALU required");
+    fail(loadQueueEntries < 1 || storeQueueEntries < 1,
+         "load/store queues must be non-empty");
     icache.validate();
     dcache.validate();
 }

@@ -76,6 +76,19 @@ TEST(ArrayParams, CamNeedsSearchPortsAndViceVersa)
     EXPECT_THROW(p.validate(), ConfigError);  // CAM without search
 }
 
+TEST(ArrayParams, DiagnosticNamesTheArray)
+{
+    ArrayParams p = regFile(64, 32);
+    p.searchPorts = 1;
+    try {
+        p.validate();
+        ADD_FAILURE() << "search ports on SRAM validated";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(), "mcpat: configuration error: array 'rf': "
+                               "search ports require CAM cells");
+    }
+}
+
 TEST(ArrayParams, DerivedQuantities)
 {
     const ArrayParams p = memory(8192, 64);

@@ -71,6 +71,19 @@ TEST(CacheParams, Validation)
     EXPECT_THROW(p.validate(), ConfigError);
 }
 
+TEST(CacheParams, DiagnosticNamesTheCache)
+{
+    CacheParams p = l1d();
+    p.blockBytes = 48;
+    try {
+        p.validate();
+        ADD_FAILURE() << "a 48-byte block validated";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(), "mcpat: configuration error: cache 'L1D': "
+                               "block size must be a power of two");
+    }
+}
+
 TEST(CacheModel, BasicPhysical)
 {
     const CacheModel c(l1d(), tech65());

@@ -76,6 +76,20 @@ TEST(CoreParams, Validation)
     EXPECT_THROW(p.validate(), ConfigError);
 }
 
+TEST(CoreParams, DiagnosticNamesTheCore)
+{
+    CoreParams p = oooCore();
+    p.name = "core0";
+    p.robEntries = 4;
+    try {
+        p.validate();
+        ADD_FAILURE() << "a 4-entry ROB validated";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(),
+                     "mcpat: configuration error: core0: ROB too small");
+    }
+}
+
 TEST(CoreParams, TagBits)
 {
     CoreParams p = oooCore();

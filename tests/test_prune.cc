@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/array_cache.hh"
@@ -101,6 +103,24 @@ expectIdenticalSolutions(const array::ArrayParams &p,
     EXPECT_EQ(exhaustive.width, pruned.width) << what;
     EXPECT_EQ(timing_ex, timing_pr) << what;
 }
+
+constexpr bool
+isPowerOfTwo(double v)
+{
+    if (v <= 0.0)
+        return false;
+    while (v >= 2.0)
+        v /= 2.0;
+    while (v < 1.0)
+        v *= 2.0;
+    return v == 1.0;
+}
+
+// The closed-form listing scales row and column counts by powers of
+// two; a table entry that is not one would make it diverge from
+// orgGeometry's divisions.
+static_assert(std::ranges::all_of(array::kPartitions, isPowerOfTwo));
+static_assert(std::ranges::all_of(array::kFoldings, isPowerOfTwo));
 
 /** Recursively require two report trees to match bit for bit. */
 void
@@ -199,8 +219,7 @@ TEST(Prune, WinnerIdenticalAcrossArrayShapes)
         cases.emplace_back("timing-infeasible", p);
     }
 
-    // At 4 threads the shape-table search builds its subarray shapes in
-    // one parallel pass before evaluating; that path must agree too.
+    // The solve must not depend on the worker count.
     for (const int threads : {1, 4}) {
         ThreadCountGuard pin(threads);
         const std::string at = " @" + std::to_string(threads) + "t";
@@ -208,6 +227,63 @@ TEST(Prune, WinnerIdenticalAcrossArrayShapes)
             p.name = what;
             expectIdenticalSolutions(p, t65, what + " @65nm" + at);
             expectIdenticalSolutions(p, t22, what + " @22nm LOP" + at);
+        }
+    }
+}
+
+TEST(Prune, ClosedFormListingMatchesOrgGeometry)
+{
+    // Rows per bank and row bits from 1 up, with non-powers of two,
+    // both sides of every power of two, and values past the 1024-row
+    // and 2048-column subarray limits.
+    const std::vector<int> rows = {
+        1,    2,    3,    4,    5,    6,    7,    9,     15,    16,
+        17,   31,   33,   63,   64,   65,   100,  127,   128,   129,
+        255,  256,  257,  500,  511,  512,  513,  1000,  1023,  1024,
+        1025, 1500, 2047, 2048, 2049, 3000, 4095, 4096,  4097,  8191,
+        8192, 8193, 9999, 16384, 16385, 32767, 32768, 40000, 65536, 70000};
+    const std::vector<int> bits = {
+        1,   2,    3,    4,    5,    7,    8,    9,    12,   16,
+        17,  31,   32,   33,   52,   64,   65,   100,  127,  128,
+        129, 255,  256,  257,  500,  512,  513,  1000, 1024, 1025,
+        1537, 2047, 2048, 2049, 3000, 4096, 4097, 8192};
+    for (const int r : rows) {
+        for (const int b : bits) {
+            const std::string at = "rows_per_bank " + std::to_string(r) +
+                                   ", row_bits " + std::to_string(b);
+            const array::OrgListing listing =
+                array::listOrganizations(r, b);
+            // Shapes are numbered in the order the canonical grid first
+            // reaches each distinct (subRows, subCols).
+            std::map<std::pair<int, int>, std::size_t> first_seen;
+            std::size_t k = 0;
+            for (const int ndwl : array::kPartitions)
+                for (const int ndbl : array::kPartitions)
+                    for (const double nspd : array::kFoldings) {
+                        const array::ArrayOrg org{ndwl, ndbl, nspd};
+                        const auto g = array::orgGeometry(org, r, b);
+                        if (!g.feasible)
+                            continue;
+                        ASSERT_LT(k, listing.orgs.size()) << at;
+                        const auto &e = listing.orgs[k++];
+                        const auto shape =
+                            first_seen
+                                .try_emplace({g.subRows, g.subCols},
+                                             first_seen.size())
+                                .first->second;
+                        ASSERT_TRUE(e.org.ndwl == ndwl &&
+                                    e.org.ndbl == ndbl &&
+                                    e.org.nspd == nspd)
+                            << at << ": organization " << k - 1;
+                        ASSERT_TRUE(e.geom.feasible &&
+                                    e.geom.subRows == g.subRows &&
+                                    e.geom.subCols == g.subCols)
+                            << at << ": geometry of organization "
+                            << k - 1;
+                        ASSERT_EQ(e.shape, shape) << at;
+                    }
+            ASSERT_EQ(listing.orgs.size(), k) << at;
+            ASSERT_EQ(listing.shapes, first_seen.size()) << at;
         }
     }
 }

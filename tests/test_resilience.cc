@@ -945,8 +945,13 @@ TEST(BatchResume, SigkilledRunResumesToByteIdenticalOutput)
     if (!victimExited) {
         ::kill(victim, SIGKILL);
         const int killedStatus = waitForExit(victim);
-        ASSERT_TRUE(WIFSIGNALED(killedStatus));
-        ASSERT_EQ(WTERMSIG(killedStatus), SIGKILL);
+        // The batch may finish between its first report landing and
+        // the kill; that is the completed run described above.
+        const bool killed = WIFSIGNALED(killedStatus) &&
+                            WTERMSIG(killedStatus) == SIGKILL;
+        const bool completed = WIFEXITED(killedStatus) &&
+                               WEXITSTATUS(killedStatus) == 0;
+        ASSERT_TRUE(killed || completed) << "wait status " << killedStatus;
     }
 
     // Resume and compare every artifact against the reference run.
